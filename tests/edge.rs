@@ -82,6 +82,27 @@ fn edge_builder_matches_direct_run() {
     assert_eq!(direct, built);
 }
 
+/// With no cache at all, every hit an edge reports is a request that
+/// joined an origin fetch already in flight: the counters must say so
+/// (`hits == coalesced_hits`, zero resident hits) rather than pass the
+/// coalescing off as a cache hit rate.
+#[test]
+fn zero_byte_cache_reports_only_coalesced_hits() {
+    let r = run_edge(
+        &video(6),
+        &EdgeConfig {
+            clients: 5,
+            cache_bytes: 0,
+            prefetch: false,
+            ..Default::default()
+        },
+    );
+    assert!(r.cache.coalesced_hits > 0, "co-watching clients coalesce");
+    assert_eq!(r.cache.hits, r.cache.coalesced_hits);
+    assert_eq!(r.cache.hit_bytes, r.cache.coalesced_hit_bytes);
+    assert_eq!(r.cache.evictions, 0);
+}
+
 /// Build a client population from parallel raw draws (the vendored
 /// proptest shim has no `prop_map`, so specs are assembled in-body).
 fn specs_from(raw: &[(u64, u64, u32, u64)]) -> Vec<EdgeClientSpec> {
