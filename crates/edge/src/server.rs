@@ -965,35 +965,6 @@ impl EdgeWorld<'_> {
         }
     }
 
-    /// Conservative purity probe for the windowed federation replay:
-    /// `true` only when this decide is guaranteed to be served entirely
-    /// by the node — every layer of every chosen tile either resident
-    /// in cache or coalescable onto a fetch already in flight — so
-    /// applying it cannot contact the upstream tier or schedule events.
-    ///
-    /// Probes the full (un-shed) quality: egress-pressure shedding only
-    /// removes layers, so a hit on the superset covers whatever subset
-    /// the apply actually requests. Read-only — no stats, no LRU touch.
-    pub(crate) fn decide_is_pure_hit(
-        &self,
-        client: u32,
-        chunk: u32,
-        choices: &[StochasticChoice],
-    ) -> bool {
-        let content = self.clients[client as usize].spec.content;
-        let t = ChunkTime(chunk);
-        for choice in choices {
-            let cell = CellId::new(choice.tile, t);
-            for layer in 0..=choice.quality.0 {
-                let key = Self::key_of(cell, layer, content);
-                if !self.inflight.contains_key(&key) && !self.cache.contains(key) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     fn handle_display(&mut self, client: u32, chunk: u32) {
         if !self.clients[client as usize].admitted {
             return;

@@ -231,7 +231,7 @@ mod proptests {
             let mut now = SimTime::ZERO;
             let mut samples: Vec<(SimTime, f64)> = Vec::new();
             for (i, &rate) in rates.iter().enumerate() {
-                now = now + SimDuration::from_millis(gaps_ms[i % gaps_ms.len()]);
+                now += SimDuration::from_millis(gaps_ms[i % gaps_ms.len()]);
                 // One second at `rate` delivers rate/8 bytes.
                 let update = b.on_ack((rate / 8.0) as u64, SimDuration::from_secs(1), now);
                 let sample = update.expect("positive interval").sample_bps;

@@ -1,8 +1,10 @@
 //! Federation smoke demo: a flash crowd hits a multi-edge federation
 //! over a shared regional cache, and the run proves its own determinism
-//! by cross-checking the combined trace digest at 1, 2 and 8 sense
-//! workers. Exits non-zero on any divergence, so CI can run it as a
-//! determinism gate at whatever scale the environment asks for:
+//! by cross-checking the combined trace digest at 1, 2 and 8 workers.
+//! Workers shard only the pure sense phase; replay is always serial, so
+//! the check pins that sharding never changes a plan or a byte. Exits
+//! non-zero on any divergence, so CI can run it as a determinism gate
+//! at whatever scale the environment asks for:
 //!
 //! ```sh
 //! cargo run --release --example federation_demo
