@@ -1,11 +1,11 @@
 //! Edge delivery at the rack: origin egress with and without the
 //! shared tile cache, how the saving grows with audience size — the
 //! crowd-amortisation claim of §3.4, measured — and the batched
-//! data-oriented engine against the legacy per-event oracle.
+//! data-oriented engine against the per-event oracle.
 
 use sperke_bench::{cols, header, note, row};
-use sperke_core::{run_edge_fleet, EdgeConfig};
-use sperke_edge::{default_clients, run_edge_batched, run_edge_full, EdgeHarness};
+use sperke_core::EdgeConfig;
+use sperke_edge::{default_clients, run_edge, run_edge_batched, run_edge_full, EdgeHarness};
 use sperke_sim::SimDuration;
 use sperke_video::VideoModelBuilder;
 use std::time::Instant;
@@ -23,7 +23,7 @@ fn main() {
     for &n in &[8usize, 16, 32] {
         for (label, cache_bytes, prefetch) in [("off", 0u64, false), ("256MiB", 256u64 << 20, true)]
         {
-            let r = run_edge_fleet(
+            let r = run_edge(
                 &video,
                 &EdgeConfig {
                     clients: n,

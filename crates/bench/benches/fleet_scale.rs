@@ -34,6 +34,8 @@ fn main() {
                     fov_guided: guided,
                     ..Default::default()
                 },
+                None,
+                0,
             );
             row(
                 &format!("{n} / {label}"),
@@ -73,6 +75,8 @@ fn main() {
                 fov_guided: guided,
                 ..Default::default()
             },
+            None,
+            0,
         );
         row(
             label,

@@ -30,13 +30,13 @@ fn main() {
     assert_eq!(grid.points().len(), 16, "the 16-point acceptance grid");
 
     // Warm-up run (page in code and video tables) before timing.
-    let reference = run_fleet_sweep(&video, &grid, 1);
+    let reference = run_fleet_sweep(&video, &grid, None, 1);
 
     cols("threads", &["seconds", "speedup", "pts/s"]);
     let mut serial_secs = 0.0;
     for threads in [1usize, 2, 4, 8] {
         let start = Instant::now();
-        let report = run_fleet_sweep(&video, &grid, threads);
+        let report = run_fleet_sweep(&video, &grid, None, threads);
         let secs = start.elapsed().as_secs_f64();
         if threads == 1 {
             serial_secs = secs;
@@ -52,7 +52,7 @@ fn main() {
         );
     }
     let start = Instant::now();
-    let report4 = run_fleet_sweep(&video, &grid, 4);
+    let report4 = run_fleet_sweep(&video, &grid, None, 4);
     let quad_secs = start.elapsed().as_secs_f64();
     let speedup = serial_secs / quad_secs;
     assert_eq!(report4.digest(), reference.digest());

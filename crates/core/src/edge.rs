@@ -2,31 +2,24 @@
 //! the [`sperke_edge`] multi-client edge-server model.
 //!
 //! [`Sperke::edge_builder`] is the five-line way to run an edge
-//! experiment; [`run_edge_fleet`] is the direct function form; and
-//! [`EdgeGrid`] → [`run_edge_sweep`] fans a clients × cache × seeds
-//! grid across CPU cores with the same byte-determinism guarantee as
-//! the fleet sweep: the merged report is identical for any worker
-//! count.
+//! experiment; [`sperke_edge::run_edge`] is the direct function form;
+//! and [`EdgeGrid`] → [`run_edge_sweep`] fans a clients × cache × seeds
+//! grid across CPU cores through the batched engine, with the same
+//! byte-determinism guarantee as the fleet sweep: the merged report is
+//! identical for any worker count.
 
 use crate::builder::Sperke;
 use serde::{Deserialize, Serialize};
 use sperke_edge::{
     run_edge_batched, run_edge_full, EdgeClientSpec, EdgeConfig, EdgeHarness, EdgeReport,
 };
-use sperke_geo::{VisibilityCache, DEFAULT_VIS_CACHE_CAPACITY};
+use sperke_geo::VisibilityCache;
 use sperke_net::{FaultScript, LossChannel, RecoveryPolicy};
 use sperke_sim::sweep::{run_sweep, SweepPlan, SweepReport};
 use sperke_sim::trace::{Trace, TraceLevel, TraceSink};
 use sperke_sim::{MetricsRegistry, SimDuration};
 use sperke_video::VideoModel;
 use sperke_vra::AbrPolicyKind;
-
-/// Run the edge experiment: defaults everywhere but `(config, video)`.
-/// Equivalent to [`sperke_edge::run_edge`]; re-exported here so the
-/// facade crate is the one-stop entry point.
-pub fn run_edge_fleet(video: &VideoModel, config: &EdgeConfig) -> EdgeReport {
-    sperke_edge::run_edge(video, config)
-}
 
 /// The outcome of a traced edge run: report plus captured trace.
 #[derive(Debug, Clone)]
@@ -352,87 +345,27 @@ pub struct EdgeSweepPoint {
 /// Run every point of `grid` against `video` on `threads` workers
 /// (`0` = available parallelism), merging deterministically by grid
 /// index: byte-identical for any worker count.
+///
+/// Every point runs the batched engine on one sense worker (the sweep
+/// owns the thread pool), with `policy` planning every client decide
+/// as [`EdgeHarness::policy`] does; [`AbrPolicyKind::Knapsack`] and
+/// [`AbrPolicyKind::Sperke`] reproduce `None` byte-for-byte.
 pub fn run_edge_sweep(
     video: &VideoModel,
     grid: &EdgeGrid,
+    policy: Option<AbrPolicyKind>,
     threads: usize,
 ) -> SweepReport<EdgeSweepPoint> {
-    // Per-worker visibility memo, as in `run_fleet_sweep`: the handle is
-    // !Send by design, and per-worker caches change only speed.
-    thread_local! {
-        static WORKER_VIS: VisibilityCache =
-            VisibilityCache::new(4 * DEFAULT_VIS_CACHE_CAPACITY);
-    }
-    let plan = grid.plan();
-    run_sweep(&plan, threads, |_index, config| {
-        let harness = WORKER_VIS.with(|vis| EdgeHarness {
-            vis: vis.clone(),
-            ..Default::default()
-        });
-        EdgeSweepPoint {
-            config: *config,
-            report: run_edge_full(
-                video,
-                config,
-                &sperke_edge::default_clients(config),
-                &harness,
-                None,
-            ),
-        }
-    })
-}
-
-/// [`run_edge_sweep`] with every client decide planned by a rival
-/// viewport-adaptation policy. [`AbrPolicyKind::Knapsack`] and
-/// [`AbrPolicyKind::Sperke`] reproduce [`run_edge_sweep`]
-/// byte-for-byte; the merged report is byte-identical for any worker
-/// count.
-pub fn run_edge_sweep_policy(
-    video: &VideoModel,
-    grid: &EdgeGrid,
-    policy: AbrPolicyKind,
-    threads: usize,
-) -> SweepReport<EdgeSweepPoint> {
-    thread_local! {
-        static WORKER_VIS: VisibilityCache =
-            VisibilityCache::new(4 * DEFAULT_VIS_CACHE_CAPACITY);
-    }
-    let plan = grid.plan();
-    run_sweep(&plan, threads, |_index, config| {
-        let harness = WORKER_VIS.with(|vis| EdgeHarness {
-            vis: vis.clone(),
-            policy: Some(policy),
-            ..Default::default()
-        });
-        EdgeSweepPoint {
-            config: *config,
-            report: run_edge_full(
-                video,
-                config,
-                &sperke_edge::default_clients(config),
-                &harness,
-                None,
-            ),
-        }
-    })
-}
-
-/// [`run_edge_sweep`] with every point executed by the batched engine
-/// (one sense worker per point — the sweep owns the thread pool).
-/// Byte-identical to the legacy sweep for any grid and thread count.
-pub fn run_edge_sweep_batched(
-    video: &VideoModel,
-    grid: &EdgeGrid,
-    threads: usize,
-) -> SweepReport<EdgeSweepPoint> {
-    let plan = grid.plan();
-    run_sweep(&plan, threads, |_index, config| EdgeSweepPoint {
+    run_sweep(&grid.plan(), threads, |_index, config| EdgeSweepPoint {
         config: *config,
         report: run_edge_batched(
             video,
             config,
             &sperke_edge::default_clients(config),
-            &EdgeHarness::default(),
+            &EdgeHarness {
+                policy,
+                ..Default::default()
+            },
             None,
             1,
         ),
@@ -502,8 +435,8 @@ mod tests {
         })
         .cache_axis(vec![0, 128 << 20])
         .seed_axis(vec![7, 11]);
-        let serial = run_edge_sweep(&v, &grid, 1);
-        let parallel = run_edge_sweep(&v, &grid, 4);
+        let serial = run_edge_sweep(&v, &grid, None, 1);
+        let parallel = run_edge_sweep(&v, &grid, None, 4);
         assert_eq!(serial, parallel);
         assert_eq!(serial.to_jsonl(), parallel.to_jsonl());
         assert_eq!(serial.digest(), parallel.digest());
@@ -530,10 +463,13 @@ mod tests {
         })
         .cache_axis(vec![0, 128 << 20])
         .seed_axis(vec![7]);
-        let legacy_sweep = run_edge_sweep(&v, &grid, 2);
-        let batched_sweep = run_edge_sweep_batched(&v, &grid, 2);
-        assert_eq!(legacy_sweep.to_jsonl(), batched_sweep.to_jsonl());
-        assert_eq!(legacy_sweep.digest(), batched_sweep.digest());
+        let oracle_sweep = run_sweep(&grid.plan(), 2, |_index, config| EdgeSweepPoint {
+            config: *config,
+            report: sperke_edge::run_edge(&v, config),
+        });
+        let sweep = run_edge_sweep(&v, &grid, None, 2);
+        assert_eq!(oracle_sweep.to_jsonl(), sweep.to_jsonl());
+        assert_eq!(oracle_sweep.digest(), sweep.digest());
     }
 
     #[test]
@@ -562,11 +498,12 @@ mod tests {
         })
         .cache_axis(vec![0, 128 << 20])
         .seed_axis(vec![7]);
-        let legacy_sweep = run_edge_sweep(&v, &grid, 2);
-        let knap_sweep = run_edge_sweep_policy(&v, &grid, AbrPolicyKind::Knapsack, 2);
-        assert_eq!(legacy_sweep.to_jsonl(), knap_sweep.to_jsonl());
-        let serial = run_edge_sweep_policy(&v, &grid, AbrPolicyKind::transition_default(), 1);
-        let parallel = run_edge_sweep_policy(&v, &grid, AbrPolicyKind::transition_default(), 4);
+        let hardwired_sweep = run_edge_sweep(&v, &grid, None, 2);
+        let knap_sweep = run_edge_sweep(&v, &grid, Some(AbrPolicyKind::Knapsack), 2);
+        assert_eq!(hardwired_sweep.to_jsonl(), knap_sweep.to_jsonl());
+        let transition = Some(AbrPolicyKind::transition_default());
+        let serial = run_edge_sweep(&v, &grid, transition, 1);
+        let parallel = run_edge_sweep(&v, &grid, transition, 4);
         assert_eq!(serial.to_jsonl(), parallel.to_jsonl());
         assert_eq!(serial.digest(), parallel.digest());
     }
@@ -579,7 +516,7 @@ mod tests {
             ..Default::default()
         })
         .cache_axis(vec![0, 256 << 20]);
-        let report = run_edge_sweep(&v, &grid, 0);
+        let report = run_edge_sweep(&v, &grid, None, 0);
         let points: Vec<&EdgeSweepPoint> = report.ok_results().collect();
         assert_eq!(points.len(), 2);
         let (uncached, cached) = (&points[0].report, &points[1].report);

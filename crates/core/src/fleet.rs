@@ -4,10 +4,16 @@
 //! §2's bandwidth-saving numbers are per-viewer; what a CDN operator
 //! cares about is aggregate egress when *hundreds* of viewers share an
 //! origin. This module runs N viewers concurrently against one server
-//! whose egress is a shared, priority-multiplexed link
-//! (`MuxLink`), using the discrete-event kernel
-//! ([`Simulation`]/[`World`]) to interleave every viewer's decide and
-//! display points in exact time order.
+//! whose egress is a shared, priority-multiplexed link (`MuxLink`).
+//!
+//! [`run_fleet`] is the one run path: the policy and the worker count
+//! are its arguments. It computes every viewer's pure sense work up
+//! front (sharded across workers) and replays the stateful egress in
+//! exact time order. [`run_fleet_oracle`] is the event-driven engine
+//! kept as its differential oracle: it interleaves every viewer's
+//! decide and display points through the discrete-event kernel
+//! ([`Simulation`]/[`World`]) and must agree with [`run_fleet`] bit
+//! for bit.
 
 use serde::{Deserialize, Serialize};
 use sperke_geo::{
@@ -94,9 +100,18 @@ struct FleetSelection {
 }
 
 /// The world-independent slice of a decide: forecast (or the
-/// FoV-agnostic budget fit) plus stream sizing. The legacy engine calls
+/// FoV-agnostic budget fit) plus stream sizing. The oracle engine calls
 /// it inline at the decide event; the batched engine precomputes it per
 /// (viewer, chunk) on worker threads. `now` is the decide's wall time.
+///
+/// `policy` picks the FoV-guided planner: `None` is the hardwired
+/// stochastic selector; `Some(kind)` plans through a rival from the
+/// viewport-adaptation suite, with `prev` the viewer's previous-window
+/// level vector, updated in place (decides run in chunk order per
+/// viewer in both engines, so temporal policies see identical state
+/// either way). [`AbrPolicyKind::Knapsack`] — or any kind whose
+/// distinguishing knob is off — reproduces `None` byte-for-byte.
+/// Full-panorama delivery has nothing for a tile policy to decide.
 #[allow(clippy::too_many_arguments)]
 fn fleet_selections(
     video: &VideoModel,
@@ -107,6 +122,8 @@ fn fleet_selections(
     now: SimTime,
     scratch: &mut ForecastScratch,
     history: &mut Vec<(SimTime, Orientation)>,
+    policy: Option<AbrPolicyKind>,
+    prev: &mut Vec<i8>,
 ) -> Vec<FleetSelection> {
     let t = ChunkTime(chunk);
     let video_time = SimTime::ZERO + video.chunk_duration() * chunk as u64;
@@ -123,10 +140,32 @@ fn fleet_selections(
             t,
             scratch,
         );
-        select_stochastic(video, &forecast, t, budget, Scheme::Avc, 0.05)
-            .into_iter()
-            .map(|c| (c.tile, c.quality, forecast.prob(c.tile)))
-            .collect()
+        match policy {
+            None => select_stochastic(video, &forecast, t, budget, Scheme::Avc, 0.05)
+                .into_iter()
+                .map(|c| (c.tile, c.quality, forecast.prob(c.tile)))
+                .collect(),
+            Some(kind) => {
+                let tile_count = video.grid().tile_count();
+                let plan = kind.decide(&PolicyInput {
+                    video,
+                    forecast: &forecast,
+                    confidence: forecast.confidence(),
+                    time: t,
+                    buffer: config.fetch_lead,
+                    budget_bytes: budget,
+                    capacity_bps: Some(config.per_viewer_budget_bps),
+                    scheme: Scheme::Avc,
+                    min_probability: 0.05,
+                    prev: (prev.len() == tile_count).then_some(prev.as_slice()),
+                });
+                *prev = plan.levels(tile_count);
+                plan.assignments
+                    .into_iter()
+                    .map(|a| (a.tile, a.quality, a.probability))
+                    .collect()
+            }
+        }
     } else {
         // FoV-agnostic: the whole panorama at the best quality the
         // budget affords.
@@ -145,78 +184,6 @@ fn fleet_selections(
             quality,
             prob,
             bytes: video.avc_bytes(ChunkId::new(quality, tile, t)),
-        })
-        .collect()
-}
-
-/// Like [`fleet_selections`], but planned by a tile-aware policy from
-/// the viewport-adaptation suite instead of the hardwired knapsack.
-/// `prev` is the viewer's previous-window level vector, updated in
-/// place (decides run in chunk order per viewer in both engines, so
-/// temporal policies see identical state either way). With
-/// [`AbrPolicyKind::Knapsack`] — or any kind whose distinguishing knob
-/// is off — the output is byte-identical to [`fleet_selections`].
-#[allow(clippy::too_many_arguments)]
-fn fleet_selections_policy(
-    video: &VideoModel,
-    config: &FleetConfig,
-    trace: &HeadTrace,
-    start_offset: SimDuration,
-    chunk: u32,
-    now: SimTime,
-    scratch: &mut ForecastScratch,
-    history: &mut Vec<(SimTime, Orientation)>,
-    policy: AbrPolicyKind,
-    prev: &mut Vec<i8>,
-) -> Vec<FleetSelection> {
-    if !config.fov_guided {
-        // Full-panorama delivery has nothing for a tile policy to
-        // decide; keep the agnostic path identical.
-        return fleet_selections(
-            video,
-            config,
-            trace,
-            start_offset,
-            chunk,
-            now,
-            scratch,
-            history,
-        );
-    }
-    let t = ChunkTime(chunk);
-    let video_time = SimTime::ZERO + video.chunk_duration() * chunk as u64;
-    let own_now = SimTime::from_nanos(now.as_nanos().saturating_sub(start_offset.as_nanos()));
-    let budget = (config.per_viewer_budget_bps * video.chunk_duration().as_secs_f64() / 8.0) as u64;
-    trace.history_into(own_now, 50, history);
-    let forecast = FusedForecaster::motion_only().forecast_with(
-        video.grid(),
-        history,
-        own_now,
-        video_time,
-        t,
-        scratch,
-    );
-    let tile_count = video.grid().tile_count();
-    let plan = policy.decide(&PolicyInput {
-        video,
-        forecast: &forecast,
-        confidence: forecast.confidence(),
-        time: t,
-        buffer: config.fetch_lead,
-        budget_bytes: budget,
-        capacity_bps: Some(config.per_viewer_budget_bps),
-        scheme: Scheme::Avc,
-        min_probability: 0.05,
-        prev: (prev.len() == tile_count).then_some(prev.as_slice()),
-    });
-    *prev = plan.levels(tile_count);
-    plan.assignments
-        .into_iter()
-        .map(|a| FleetSelection {
-            tile: a.tile,
-            quality: a.quality,
-            prob: a.probability,
-            bytes: video.avc_bytes(ChunkId::new(a.quality, a.tile, t)),
         })
         .collect()
 }
@@ -245,7 +212,7 @@ struct FleetWorld<'a> {
     fscratch: ForecastScratch,
     hist: Vec<(SimTime, Orientation)>,
     /// When set, inline decides plan through this policy instead of the
-    /// hardwired knapsack ([`None`] keeps the legacy path untouched).
+    /// hardwired stochastic selector (see [`fleet_selections`]).
     policy: Option<AbrPolicyKind>,
     /// Per-viewer previous-window levels for temporal policies.
     prev_levels: Vec<Vec<i8>>,
@@ -362,35 +329,18 @@ impl World<FleetEvent> for FleetWorld<'_> {
         self.drain_egress(now);
         match event {
             FleetEvent::Decide { viewer, chunk } => {
-                let selections = match self.policy {
-                    None => fleet_selections(
-                        self.video,
-                        &self.config,
-                        &self.traces[viewer],
-                        self.start_offset[viewer],
-                        chunk,
-                        now,
-                        &mut self.fscratch,
-                        &mut self.hist,
-                    ),
-                    Some(kind) => {
-                        let mut prev = std::mem::take(&mut self.prev_levels[viewer]);
-                        let s = fleet_selections_policy(
-                            self.video,
-                            &self.config,
-                            &self.traces[viewer],
-                            self.start_offset[viewer],
-                            chunk,
-                            now,
-                            &mut self.fscratch,
-                            &mut self.hist,
-                            kind,
-                            &mut prev,
-                        );
-                        self.prev_levels[viewer] = prev;
-                        s
-                    }
-                };
+                let selections = fleet_selections(
+                    self.video,
+                    &self.config,
+                    &self.traces[viewer],
+                    self.start_offset[viewer],
+                    chunk,
+                    now,
+                    &mut self.fscratch,
+                    &mut self.hist,
+                    self.policy,
+                    &mut self.prev_levels[viewer],
+                );
                 self.apply_decide(viewer, chunk, &selections, now);
             }
             FleetEvent::Display { viewer, chunk } => {
@@ -404,44 +354,21 @@ impl World<FleetEvent> for FleetWorld<'_> {
     }
 }
 
-/// Run the fleet experiment with a default per-run visibility cache.
-pub fn run_fleet(video: &VideoModel, config: &FleetConfig) -> FleetReport {
-    run_fleet_with_cache(video, config, VisibilityCache::default())
-}
-
-/// Run the fleet experiment sharing the given visibility cache.
+/// The event-driven fleet engine: the differential oracle for
+/// [`run_fleet`]. Every decide and display runs inline, in time order,
+/// through the discrete-event kernel ([`Simulation`]/[`World`]).
 ///
-/// The cache only memoizes exact `visible_tiles` results, so the report
-/// is bit-identical whichever cache handle is passed — including
+/// `policy` plans every FoV-guided decide as in [`run_fleet`]. `vis`
+/// only memoizes exact `visible_tiles` results, so the report is
+/// bit-identical whichever cache handle is passed — including
 /// [`VisibilityCache::disabled`], which recomputes every query and
 /// serves as the uncached baseline in `perf_baseline`.
-pub fn run_fleet_with_cache(
+pub fn run_fleet_oracle(
     video: &VideoModel,
     config: &FleetConfig,
-    cache: VisibilityCache,
-) -> FleetReport {
-    run_fleet_inner(video, config, cache, None)
-}
-
-/// Run the fleet experiment with a rival viewport-adaptation policy
-/// planning every decide. [`AbrPolicyKind::Knapsack`] (and
-/// [`AbrPolicyKind::Sperke`], whose fleet-side planner is the same
-/// stochastic selector) reproduces [`run_fleet`] byte-for-byte.
-pub fn run_fleet_policy(
-    video: &VideoModel,
-    config: &FleetConfig,
-    policy: AbrPolicyKind,
-) -> FleetReport {
-    run_fleet_inner(video, config, VisibilityCache::default(), Some(policy))
-}
-
-pub(crate) fn run_fleet_inner(
-    video: &VideoModel,
-    config: &FleetConfig,
-    cache: VisibilityCache,
     policy: Option<AbrPolicyKind>,
+    vis: VisibilityCache,
 ) -> FleetReport {
-    assert!(config.viewers > 0);
     let attention = AttentionModel::generic(config.seed);
     let traces = generate_ensemble(
         &attention,
@@ -450,7 +377,7 @@ pub(crate) fn run_fleet_inner(
         config.seed,
     );
 
-    let mut world = FleetWorld::new(video, *config, &traces, cache);
+    let mut world = FleetWorld::new(video, *config, &traces, vis);
     world.policy = policy;
 
     let mut sim = Simulation::new();
@@ -541,41 +468,26 @@ thread_local! {
         RefCell::new((ForecastScratch::new(), VisibilityScratch::new(), Vec::new()));
 }
 
-/// Run the fleet experiment through the data-oriented batched engine.
+/// Run the fleet experiment.
 ///
-/// Produces a report bit-identical to [`run_fleet`] for any `(video,
-/// config)` and any `workers` (0 = machine default): the per-viewer
-/// sense phase (head trace, forecasts, selections, display visibility)
-/// is a pure function of the config and shards across worker threads by
-/// viewer index; the stateful remainder replays the legacy event order
-/// through a [`ReplayQueue`] running the same `apply_*` code. The fleet
-/// world schedules no dynamic events, so the replay is a pure cursor
-/// walk over the pre-sorted schedule.
-pub fn run_fleet_batched(video: &VideoModel, config: &FleetConfig, workers: usize) -> FleetReport {
-    run_fleet_batched_inner(video, config, workers, None)
-}
-
-/// The batched engine with a rival viewport-adaptation policy planning
-/// every sense-phase decide. Bit-identical to [`run_fleet_policy`] for
-/// any worker count: the per-viewer sense loop walks chunks in order,
-/// so temporal policies see the same previous-window state as the
-/// legacy engine's time-ordered decides.
-pub fn run_fleet_batched_policy(
+/// `policy` picks the planner of every FoV-guided decide: `None` is
+/// Sperke's hardwired stochastic selector, `Some(kind)` a rival from the
+/// viewport-adaptation suite ([`AbrPolicyKind::Knapsack`] and
+/// [`AbrPolicyKind::Sperke`] reproduce `None` byte-for-byte). `workers`
+/// (0 = machine default) shards the per-viewer sense phase — head trace,
+/// forecasts, selections, display visibility — which is a pure function
+/// of the config and merges by viewer index, so the report is
+/// bit-identical for any worker count. The stateful remainder replays
+/// the event order of [`run_fleet_oracle`] through a [`ReplayQueue`]
+/// running the same `apply_*` code. The fleet world schedules no
+/// dynamic events, so the replay is a pure cursor walk over the
+/// pre-sorted schedule.
+pub fn run_fleet(
     video: &VideoModel,
     config: &FleetConfig,
-    policy: AbrPolicyKind,
-    workers: usize,
-) -> FleetReport {
-    run_fleet_batched_inner(video, config, workers, Some(policy))
-}
-
-fn run_fleet_batched_inner(
-    video: &VideoModel,
-    config: &FleetConfig,
-    workers: usize,
     policy: Option<AbrPolicyKind>,
+    workers: usize,
 ) -> FleetReport {
-    assert!(config.viewers > 0);
     let cfg = *config;
     let chunks = video.chunk_count();
     let session = video.duration() + SimDuration::from_secs(5);
@@ -595,14 +507,9 @@ fn run_fleet_batched_inner(
                 let decide = SimTime::from_nanos(
                     display.as_nanos().saturating_sub(cfg.fetch_lead.as_nanos()),
                 );
-                selections.push(match policy {
-                    None => {
-                        fleet_selections(video, &cfg, &trace, offset, c, decide, fscratch, hist)
-                    }
-                    Some(kind) => fleet_selections_policy(
-                        video, &cfg, &trace, offset, c, decide, fscratch, hist, kind, &mut prev,
-                    ),
-                });
+                selections.push(fleet_selections(
+                    video, &cfg, &trace, offset, c, decide, fscratch, hist, policy, &mut prev,
+                ));
             }
             let gazes: Vec<Orientation> =
                 (0..chunks).map(|c| fleet_gaze(video, &trace, c)).collect();
@@ -637,7 +544,7 @@ fn run_fleet_batched_inner(
     // the cache handle is inert; disabled keeps it allocation-free.
     let mut world = FleetWorld::new(video, cfg, &traces, VisibilityCache::disabled());
 
-    // --- Static schedule, pushed in the legacy `sim.schedule` order so
+    // --- Static schedule, pushed in the oracle's `sim.schedule` order so
     // same-instant ties resolve by identical sequence numbers.
     let mut queue: ReplayQueue<FleetEvent> = ReplayQueue::new();
     for v in 0..cfg.viewers {
@@ -711,6 +618,8 @@ mod tests {
                 fov_guided: true,
                 ..Default::default()
             },
+            None,
+            1,
         );
         let agnostic = run_fleet(
             &v,
@@ -721,6 +630,8 @@ mod tests {
                 fov_guided: false,
                 ..Default::default()
             },
+            None,
+            1,
         );
         assert!(
             guided.mean_viewport_utility >= agnostic.mean_viewport_utility - 0.15,
@@ -746,6 +657,8 @@ mod tests {
                 egress_bps: 500e6,
                 ..Default::default()
             },
+            None,
+            1,
         );
         let tight = run_fleet(
             &v,
@@ -754,6 +667,8 @@ mod tests {
                 egress_bps: 25e6,
                 ..Default::default()
             },
+            None,
+            1,
         );
         assert!(tight.late_stream_fraction > ample.late_stream_fraction);
         assert!(tight.mean_blank_fraction > ample.mean_blank_fraction);
@@ -775,6 +690,8 @@ mod tests {
                 fov_guided: true,
                 ..cfg
             },
+            None,
+            1,
         );
         let agnostic = run_fleet(
             &v,
@@ -782,6 +699,8 @@ mod tests {
                 fov_guided: false,
                 ..cfg
             },
+            None,
+            1,
         );
         assert!(
             guided.mean_blank_fraction < agnostic.mean_blank_fraction + 0.05,
@@ -799,7 +718,7 @@ mod tests {
             viewers: 6,
             ..Default::default()
         };
-        assert_eq!(run_fleet(&v, &cfg), run_fleet(&v, &cfg));
+        assert_eq!(run_fleet(&v, &cfg, None, 1), run_fleet(&v, &cfg, None, 1));
     }
 
     #[test]
@@ -809,13 +728,13 @@ mod tests {
             viewers: 5,
             ..Default::default()
         };
-        let cached = run_fleet_with_cache(&v, &cfg, VisibilityCache::new(128));
-        let uncached = run_fleet_with_cache(&v, &cfg, VisibilityCache::disabled());
+        let cached = run_fleet_oracle(&v, &cfg, None, VisibilityCache::new(128));
+        let uncached = run_fleet_oracle(&v, &cfg, None, VisibilityCache::disabled());
         assert_eq!(cached, uncached);
     }
 
     #[test]
-    fn batched_engine_matches_legacy_bit_for_bit() {
+    fn run_fleet_matches_oracle_bit_for_bit() {
         let v = video();
         for cfg in [
             FleetConfig {
@@ -835,11 +754,11 @@ mod tests {
                 ..Default::default()
             },
         ] {
-            let legacy = run_fleet(&v, &cfg);
+            let oracle = run_fleet_oracle(&v, &cfg, None, VisibilityCache::default());
             for workers in [1usize, 2, 8] {
                 assert_eq!(
-                    legacy,
-                    run_fleet_batched(&v, &cfg, workers),
+                    oracle,
+                    run_fleet(&v, &cfg, None, workers),
                     "diverged at {workers} workers: {cfg:?}"
                 );
             }
@@ -854,37 +773,22 @@ mod tests {
             egress_bps: 80e6,
             ..Default::default()
         };
-        let legacy = run_fleet(&v, &cfg);
+        let hardwired = run_fleet(&v, &cfg, None, 1);
         // The fleet planner has always been Sperke's stochastic
         // selector, so both degenerate kinds must reproduce it exactly.
         for kind in [AbrPolicyKind::Knapsack, AbrPolicyKind::Sperke] {
             assert_eq!(
-                legacy,
-                run_fleet_policy(&v, &cfg, kind),
-                "{} diverged from legacy",
+                hardwired,
+                run_fleet(&v, &cfg, Some(kind), 2),
+                "{} diverged from the hardwired selector",
                 kind.name()
             );
-        }
-    }
-
-    #[test]
-    fn policy_batched_engine_matches_legacy_for_every_kind() {
-        let v = video();
-        let cfg = FleetConfig {
-            viewers: 7,
-            egress_bps: 80e6,
-            ..Default::default()
-        };
-        for kind in AbrPolicyKind::all() {
-            let legacy = run_fleet_policy(&v, &cfg, kind);
-            for workers in [1usize, 2, 8] {
-                assert_eq!(
-                    legacy,
-                    run_fleet_batched_policy(&v, &cfg, kind, workers),
-                    "{} diverged at {workers} workers",
-                    kind.name()
-                );
-            }
+            assert_eq!(
+                hardwired,
+                run_fleet_oracle(&v, &cfg, Some(kind), VisibilityCache::default()),
+                "{} oracle diverged from the hardwired selector",
+                kind.name()
+            );
         }
     }
 
@@ -896,9 +800,9 @@ mod tests {
             egress_bps: 80e6,
             ..Default::default()
         };
-        let knapsack = run_fleet_policy(&v, &cfg, AbrPolicyKind::Knapsack);
-        let qer = run_fleet_policy(&v, &cfg, AbrPolicyKind::qer_default());
-        let transition = run_fleet_policy(&v, &cfg, AbrPolicyKind::transition_default());
+        let knapsack = run_fleet(&v, &cfg, Some(AbrPolicyKind::Knapsack), 1);
+        let qer = run_fleet(&v, &cfg, Some(AbrPolicyKind::qer_default()), 1);
+        let transition = run_fleet(&v, &cfg, Some(AbrPolicyKind::transition_default()), 1);
         // Active rivals genuinely plan differently from the knapsack.
         assert_ne!(qer, knapsack, "QER indistinguishable from knapsack");
         assert_ne!(
@@ -916,6 +820,8 @@ mod tests {
                 viewers: 4,
                 ..Default::default()
             },
+            None,
+            1,
         );
         let large = run_fleet(
             &v,
@@ -923,6 +829,8 @@ mod tests {
                 viewers: 16,
                 ..Default::default()
             },
+            None,
+            1,
         );
         assert!(large.egress_bytes > small.egress_bytes * 3);
         assert_eq!(small.viewers, 4);

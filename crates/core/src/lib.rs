@@ -40,17 +40,11 @@ pub mod shootout;
 pub mod sweep;
 
 pub use builder::{AbrChoice, RunReport, SchedulerChoice, Sperke};
-pub use edge::{
-    run_edge_fleet, run_edge_sweep, run_edge_sweep_batched, run_edge_sweep_policy, EdgeBuilder,
-    EdgeGrid, EdgeRunReport, EdgeSweepPoint,
-};
+pub use edge::{run_edge_sweep, EdgeBuilder, EdgeGrid, EdgeRunReport, EdgeSweepPoint};
 pub use federation::{
     run_federation_sweep, FederationBuilder, FederationGrid, FederationSweepPoint,
 };
-pub use fleet::{
-    run_fleet, run_fleet_batched, run_fleet_batched_policy, run_fleet_policy, run_fleet_with_cache,
-    FleetConfig, FleetReport,
-};
+pub use fleet::{run_fleet, run_fleet_oracle, FleetConfig, FleetReport};
 pub use shootout::{
     run_shootout, PolicyRank, ShootoutCell, ShootoutGrid, ShootoutPoint, ShootoutReport,
 };
@@ -64,10 +58,7 @@ pub use sperke_net::{
 };
 pub use sperke_sim::sweep::{SweepPlan, SweepReport, SweepSummary};
 pub use sperke_sim::trace::{Trace, TraceEvent, TraceLevel};
-pub use sweep::{
-    run_fleet_sweep, run_fleet_sweep_batched, run_fleet_sweep_batched_policy,
-    run_fleet_sweep_policy, FleetGrid, FleetSweepPoint, SperkeSweep, SperkeSweepPoint,
-};
+pub use sweep::{run_fleet_sweep, FleetGrid, FleetSweepPoint, SperkeSweep, SperkeSweepPoint};
 
 // Re-export the subsystem crates under stable names so downstream users
 // depend on one crate.

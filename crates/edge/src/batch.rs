@@ -13,10 +13,10 @@
 //!    merged by index, making the output worker-count blind);
 //! 2. **decide / fetch / render** — the stateful remainder (egress
 //!    queues, cache, origin backhaul, degradation) replays the exact
-//!    legacy event sequence through a [`ReplayQueue`] — static schedule
-//!    in a sorted array, dynamic origin completions in a heap, popping
-//!    by `(time, seq)` exactly like the legacy `EventQueue` — and
-//!    executes the *same* `apply_*` methods the legacy engine runs.
+//!    oracle's event sequence through a [`ReplayQueue`] — static
+//!    schedule in a sorted array, dynamic origin completions in a heap,
+//!    popping by `(time, seq)` exactly like the oracle's `EventQueue` —
+//!    and executes the *same* `apply_*` methods the oracle runs.
 //!
 //! Bit-exactness is therefore by construction: the pure kernels are
 //! individually proven bit-identical to their inline forms (see the
@@ -25,9 +25,9 @@
 //! `tests/engine_equivalence.rs` pins the end-to-end claim.
 
 use crate::server::{
-    client_head, crowd_slot, decide_choices, decide_choices_policy, display_gaze, edge_horizon,
-    finish_edge_run, ClientState, EdgeClientSpec, EdgeConfig, EdgeEvent, EdgeHarness, EdgeReport,
-    EdgeSched, EdgeWorld,
+    client_head, crowd_slot, decide_choices, display_gaze, edge_horizon, finish_edge_run,
+    ClientState, EdgeClientSpec, EdgeConfig, EdgeEvent, EdgeHarness, EdgeReport, EdgeSched,
+    EdgeWorld,
 };
 use sperke_geo::{visible_tiles_batch, Orientation, TileId, Viewport, VisibilityScratch};
 use sperke_hmp::{AttentionModel, ForecastScratch};
@@ -68,7 +68,7 @@ thread_local! {
 
 /// The replay cursor's scheduler: `now` is the popped event's time,
 /// dynamic pushes go into the replay heap with continuing sequence
-/// numbers — exactly how the legacy `Scheduler` feeds its `EventQueue`.
+/// numbers — exactly how the oracle's `Scheduler` feeds its `EventQueue`.
 struct ReplaySched<'q> {
     now: SimTime,
     queue: &'q mut ReplayQueue<EdgeEvent>,
@@ -98,7 +98,9 @@ pub struct EdgePlan {
 /// Run the sense phase: sort the population into canonical order and
 /// compute every client's pure plan (head trace, gaze reports, decide
 /// selections, display visibility) on `workers` threads (0 = machine
-/// default). The result is worker-count blind.
+/// default). The result is worker-count blind. Decides are planned by
+/// the hardwired stochastic selector; [`run_edge_batched`] plans with
+/// [`EdgeHarness::policy`] instead.
 pub fn prepare_edge_batch(
     video: &VideoModel,
     config: &EdgeConfig,
@@ -108,21 +110,6 @@ pub fn prepare_edge_batch(
     prepare_edge_batch_inner(video, config, clients, workers, None)
 }
 
-/// [`prepare_edge_batch`] with a rival viewport-adaptation policy
-/// planning every sense-phase decide. Pair with a matching
-/// [`EdgeHarness::policy`] when replaying (the replay itself never
-/// re-plans, but the inline legacy engine does — keeping both set makes
-/// the two engines interchangeable).
-pub fn prepare_edge_batch_policy(
-    video: &VideoModel,
-    config: &EdgeConfig,
-    clients: &[EdgeClientSpec],
-    workers: usize,
-    policy: AbrPolicyKind,
-) -> EdgePlan {
-    prepare_edge_batch_inner(video, config, clients, workers, Some(policy))
-}
-
 fn prepare_edge_batch_inner(
     video: &VideoModel,
     config: &EdgeConfig,
@@ -130,7 +117,6 @@ fn prepare_edge_batch_inner(
     workers: usize,
     policy: Option<AbrPolicyKind>,
 ) -> EdgePlan {
-    assert!(!clients.is_empty(), "at least one client required");
     let mut specs = clients.to_vec();
     specs.sort_by_key(EdgeClientSpec::canonical_key);
 
@@ -140,7 +126,7 @@ fn prepare_edge_batch_inner(
 
     let specs_ref = &specs;
     let batches = parallel_indexed(specs.len(), workers, |i| {
-        sense_client_policy(
+        sense_client(
             video,
             config,
             &attention,
@@ -160,33 +146,13 @@ fn prepare_edge_batch_inner(
 /// edge engine and the federation engine — both shard it across worker
 /// threads and merge by index, which is what makes their outputs
 /// worker-count blind.
-pub(crate) fn sense_client(
-    video: &VideoModel,
-    config: &EdgeConfig,
-    attention: &AttentionModel,
-    spec: &EdgeClientSpec,
-    admitted: bool,
-    session: SimDuration,
-    report_delay: SimDuration,
-) -> ClientBatch {
-    sense_client_policy(
-        video,
-        config,
-        attention,
-        spec,
-        admitted,
-        session,
-        report_delay,
-        None,
-    )
-}
-
-/// [`sense_client`] with an optional rival policy planning the decide
-/// selections. The per-client chunk loop runs in order, so temporal
-/// policies see the same previous-window state as the legacy engine's
-/// time-ordered inline decides.
+///
+/// `policy` plans the decide selections (see `decide_choices`). The
+/// per-client chunk loop runs in order, so temporal policies see the
+/// same previous-window state as the oracle engine's time-ordered
+/// inline decides.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sense_client_policy(
+pub(crate) fn sense_client(
     video: &VideoModel,
     config: &EdgeConfig,
     attention: &AttentionModel,
@@ -217,12 +183,9 @@ pub(crate) fn sense_client_policy(
                     .as_nanos()
                     .saturating_sub(config.fetch_lead.as_nanos()),
             );
-            decides.push(match policy {
-                None => decide_choices(video, spec, &head, c, decide_at, fscratch, hist),
-                Some(kind) => decide_choices_policy(
-                    video, spec, &head, c, decide_at, fscratch, hist, kind, &mut prev,
-                ),
-            });
+            decides.push(decide_choices(
+                video, spec, &head, c, decide_at, fscratch, hist, policy, &mut prev,
+            ));
         }
         let gazes: Vec<Orientation> = (0..chunks).map(|c| display_gaze(video, &head, c)).collect();
         let mut displays: Vec<Vec<(TileId, f64)>> = vec![Vec::new(); chunks as usize];
@@ -265,7 +228,7 @@ pub(crate) fn sense_client_policy(
 }
 
 /// Run the stateful engine over a prepared plan: assemble the world,
-/// replay the legacy event order, and settle the books. This is the
+/// replay the oracle's event order, and settle the books. This is the
 /// decide → fetch → render stepping loop the perf baseline gates —
 /// everything pure was already materialized by [`prepare_edge_batch`].
 pub fn run_edge_prepared(
@@ -279,7 +242,7 @@ pub fn run_edge_prepared(
     let specs = &plan.specs;
 
     // --- Assemble world state in canonical index order (sequential, so
-    // WRR registration and crowd report order match legacy exactly).
+    // WRR registration and crowd report order match the oracle exactly).
     let mut egress = WrrLink::new(config.egress_bps);
     let mut crowds: Vec<(u16, CrowdAggregator)> = Vec::new();
     let states: Vec<ClientState> = plan
@@ -303,8 +266,10 @@ pub fn run_edge_prepared(
 
     let admitted = states.iter().filter(|c| c.admitted).count();
     let rejected = states.len() - admitted;
-    let first_arrival = specs.first().expect("non-empty").arrival;
-    let last_arrival = specs.last().expect("non-empty").arrival;
+    // An empty population has no arrivals; its horizon is the video's
+    // own.
+    let first_arrival = specs.first().map_or(SimDuration::ZERO, |s| s.arrival);
+    let last_arrival = specs.last().map_or(SimDuration::ZERO, |s| s.arrival);
 
     let mut world = EdgeWorld::new(video, *config, states, egress, crowds, harness);
     world.precompute_sizes();
@@ -333,7 +298,7 @@ pub fn run_edge_prepared(
         Vec::new()
     };
 
-    // --- Static schedule, pushed in the legacy `sim.schedule` order so
+    // --- Static schedule, pushed in the oracle's `sim.schedule` order so
     // sequence numbers (and thus same-instant tie-breaks) coincide.
     let mut queue: ReplayQueue<EdgeEvent> = ReplayQueue::new();
     for (i, spec) in specs.iter().enumerate() {
@@ -419,7 +384,7 @@ pub fn run_edge_batched(
     workers: usize,
 ) -> EdgeReport {
     // The harness's policy knob drives the sense phase, so the batched
-    // engine stays interchangeable with the inline legacy one.
+    // engine stays interchangeable with the inline oracle.
     let plan = prepare_edge_batch_inner(video, config, clients, workers, harness.policy);
     run_edge_prepared(video, config, &plan, harness, metrics)
 }
@@ -506,31 +471,6 @@ mod tests {
                 "{} batched diverged from legacy",
                 kind.name()
             );
-        }
-    }
-
-    #[test]
-    fn policy_batched_matches_policy_legacy_for_every_kind() {
-        let v = video();
-        let cfg = EdgeConfig {
-            clients: 6,
-            ..Default::default()
-        };
-        let clients = default_clients(&cfg);
-        for kind in AbrPolicyKind::all() {
-            let harness = EdgeHarness {
-                policy: Some(kind),
-                ..Default::default()
-            };
-            let legacy = run_edge_full(&v, &cfg, &clients, &harness, None);
-            for workers in [1usize, 2, 8] {
-                assert_eq!(
-                    legacy,
-                    run_edge_batched(&v, &cfg, &clients, &harness, None, workers),
-                    "{} diverged at {workers} workers",
-                    kind.name()
-                );
-            }
         }
     }
 

@@ -649,6 +649,7 @@ pub fn run_federation(
             admitted_ref[i],
             session,
             report_delay,
+            None,
         )
     });
 

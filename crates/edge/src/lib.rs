@@ -5,14 +5,23 @@
 //!
 //! * [`TileCache`] — a bounded, deterministic LRU over tile-chunk SVC
 //!   layers keyed `(chunk, tile, layer)`, with exact byte accounting;
-//! * [`run_edge`] / [`run_edge_full`] — the discrete-event edge world:
-//!   weighted round-robin egress fairness, admission control with a
-//!   hard client cap, graceful SVC-layer degradation under egress
-//!   pressure, a serialized origin backhaul with fault-scripted
-//!   outages and retry/backoff recovery, and crowd-driven cache
-//!   pre-warming from attached clients' head traces;
+//! * the edge world: weighted round-robin egress fairness, admission
+//!   control with a hard client cap, graceful SVC-layer degradation
+//!   under egress pressure, a serialized origin backhaul with
+//!   fault-scripted outages and retry/backoff recovery, and
+//!   crowd-driven cache pre-warming from attached clients' head traces;
+//! * two engines over that world: [`run_edge_batched`] (and its
+//!   [`prepare_edge_batch`] / [`run_edge_prepared`] split) is the run
+//!   path — the sense phase shards over `workers` threads, the replay
+//!   is serial — and [`run_edge_full`] (with its default-population
+//!   shorthand [`run_edge`]) is the event-driven differential oracle it
+//!   must match byte for byte. Both take the planner from
+//!   [`EdgeHarness::policy`];
+//! * [`run_federation`] — N edges behind a shared regional tier, built
+//!   on the batched engine's sense kernel;
 //! * [`EdgeReport`] — the aggregate outcome, a pure function of
-//!   `(config, clients, faults)`.
+//!   `(config, clients, faults, policy)`. An empty population is legal
+//!   and reports zero traffic.
 //!
 //! ```
 //! use sperke_edge::{run_edge, EdgeConfig};
@@ -38,15 +47,12 @@ pub mod cache;
 pub mod federation;
 pub mod server;
 
-pub use batch::{
-    prepare_edge_batch, prepare_edge_batch_policy, run_edge_batched, run_edge_prepared, EdgePlan,
-};
+pub use batch::{prepare_edge_batch, run_edge_batched, run_edge_prepared, EdgePlan};
 pub use cache::{CacheKey, TileCache, TileCacheStats};
 pub use federation::{
     flash_crowd_clients, run_federation, zipf_catalog_clients, FederationConfig, FederationHarness,
     FederationReport, FederationRunReport, NodeSpec,
 };
 pub use server::{
-    default_clients, run_edge, run_edge_full, run_edge_traced, EdgeClientSpec, EdgeConfig,
-    EdgeHarness, EdgeReport,
+    default_clients, run_edge, run_edge_full, EdgeClientSpec, EdgeConfig, EdgeHarness, EdgeReport,
 };

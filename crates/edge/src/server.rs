@@ -196,7 +196,7 @@ pub struct EdgeHarness {
     /// on its own split RNG stream.
     pub origin_loss: LossChannel,
     /// Viewport-adaptation policy planning client decides. `None` (the
-    /// default) keeps the legacy hardwired stochastic-knapsack path
+    /// default) keeps the hardwired stochastic-knapsack path
     /// byte-for-byte; [`AbrPolicyKind::Knapsack`] and
     /// [`AbrPolicyKind::Sperke`] reproduce it exactly through the
     /// policy machinery.
@@ -267,7 +267,7 @@ pub(crate) enum UpstreamDecision {
 }
 
 /// The scheduling surface the edge world's handlers need: current time
-/// plus the ability to post future events. Implemented by the legacy
+/// plus the ability to post future events. Implemented by the oracle's
 /// [`Scheduler`] (heap-backed [`Simulation`]) and by the batched
 /// engine's replay cursor, so both engines execute the *same* stateful
 /// apply code — bit-exact equivalence by construction. A federation
@@ -383,10 +383,18 @@ pub(crate) fn client_head(
 }
 
 /// The world-independent slice of a decide: gaze history → motion-only
-/// forecast → stochastic SVC selection. Pure in its arguments, so the
-/// batched engine precomputes it per (client, chunk) on worker threads;
-/// the legacy engine calls it inline at the decide event. `now` is the
+/// forecast → SVC selection. Pure in its arguments, so the batched
+/// engine precomputes it per (client, chunk) on worker threads; the
+/// oracle engine calls it inline at the decide event. `now` is the
 /// decide's wall-clock instant.
+///
+/// `policy` picks the planner: `None` is the hardwired stochastic
+/// selector; `Some(kind)` plans through a rival from the
+/// viewport-adaptation suite, with `prev` the client's previous-window
+/// level vector, updated in place (decides run in chunk order per
+/// client in both engines, so temporal policies see identical state
+/// either way). Degenerate kinds reproduce `None` exactly.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn decide_choices(
     video: &VideoModel,
     spec: &EdgeClientSpec,
@@ -395,38 +403,7 @@ pub(crate) fn decide_choices(
     now: SimTime,
     scratch: &mut ForecastScratch,
     history: &mut Vec<(SimTime, Orientation)>,
-) -> Vec<StochasticChoice> {
-    let t = ChunkTime(chunk);
-    let video_time = video.chunk_start(t);
-    let own_now = SimTime::from_nanos(now.as_nanos().saturating_sub(spec.arrival.as_nanos()));
-    let budget = (spec.budget_bps * video.chunk_duration().as_secs_f64() / 8.0) as u64;
-    head.history_into(own_now, 50, history);
-    let forecast = FusedForecaster::motion_only().forecast_with(
-        video.grid(),
-        history,
-        own_now,
-        video_time,
-        t,
-        scratch,
-    );
-    select_stochastic(video, &forecast, t, budget, Scheme::svc_default(), 0.05)
-}
-
-/// Like [`decide_choices`], but planned by a tile-aware policy from the
-/// viewport-adaptation suite. `prev` is the client's previous-window
-/// level vector, updated in place — decides run in chunk order per
-/// client in both engines, so temporal policies see identical state
-/// either way. Degenerate kinds reproduce [`decide_choices`] exactly.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn decide_choices_policy(
-    video: &VideoModel,
-    spec: &EdgeClientSpec,
-    head: &HeadTrace,
-    chunk: u32,
-    now: SimTime,
-    scratch: &mut ForecastScratch,
-    history: &mut Vec<(SimTime, Orientation)>,
-    policy: AbrPolicyKind,
+    policy: Option<AbrPolicyKind>,
     prev: &mut Vec<i8>,
 ) -> Vec<StochasticChoice> {
     let t = ChunkTime(chunk);
@@ -442,27 +419,32 @@ pub(crate) fn decide_choices_policy(
         t,
         scratch,
     );
-    let tile_count = video.grid().tile_count();
-    let plan = policy.decide(&PolicyInput {
-        video,
-        forecast: &forecast,
-        confidence: forecast.confidence(),
-        time: t,
-        buffer: video.chunk_duration(),
-        budget_bytes: budget,
-        capacity_bps: Some(spec.budget_bps),
-        scheme: Scheme::svc_default(),
-        min_probability: 0.05,
-        prev: (prev.len() == tile_count).then_some(prev.as_slice()),
-    });
-    *prev = plan.levels(tile_count);
-    plan.assignments
-        .into_iter()
-        .map(|a| StochasticChoice {
-            tile: a.tile,
-            quality: a.quality,
-        })
-        .collect()
+    match policy {
+        None => select_stochastic(video, &forecast, t, budget, Scheme::svc_default(), 0.05),
+        Some(kind) => {
+            let tile_count = video.grid().tile_count();
+            let plan = kind.decide(&PolicyInput {
+                video,
+                forecast: &forecast,
+                confidence: forecast.confidence(),
+                time: t,
+                buffer: video.chunk_duration(),
+                budget_bytes: budget,
+                capacity_bps: Some(spec.budget_bps),
+                scheme: Scheme::svc_default(),
+                min_probability: 0.05,
+                prev: (prev.len() == tile_count).then_some(prev.as_slice()),
+            });
+            *prev = plan.levels(tile_count);
+            plan.assignments
+                .into_iter()
+                .map(|a| StochasticChoice {
+                    tile: a.tile,
+                    quality: a.quality,
+                })
+                .collect()
+        }
+    }
 }
 
 /// The gaze a display samples: mid-chunk orientation in video time.
@@ -512,14 +494,14 @@ pub(crate) struct EdgeWorld<'a> {
     trace: TraceSink,
     pending: HashMap<StreamId, PendingStream>,
     /// Precomputed per-cell layer sizes, indexed `chunk * tiles + tile`;
-    /// the batched engine fills it, the legacy engine computes per call.
+    /// the batched engine fills it, the oracle computes per call.
     /// Either way the bytes are identical (the model is deterministic).
     sizes: Option<Vec<CellSizes>>,
     /// Reusable forecast/history buffers for inline decides.
     fscratch: ForecastScratch,
     hist: Vec<(SimTime, Orientation)>,
-    /// Inline-decide policy override ([`EdgeHarness::policy`]); `None`
-    /// keeps the legacy knapsack path untouched.
+    /// Inline-decide policy ([`EdgeHarness::policy`]; see
+    /// [`decide_choices`]).
     policy: Option<AbrPolicyKind>,
     /// Per-client previous-window levels for temporal policies.
     prev_levels: Vec<Vec<i8>>,
@@ -898,39 +880,24 @@ impl EdgeWorld<'_> {
             return;
         }
         let now = sched.now();
-        let choices = match self.policy {
-            None => decide_choices(
-                self.video,
-                &self.clients[client as usize].spec,
-                &self.clients[client as usize].head,
-                chunk,
-                now,
-                &mut self.fscratch,
-                &mut self.hist,
-            ),
-            Some(kind) => {
-                let mut prev = std::mem::take(&mut self.prev_levels[client as usize]);
-                let choices = decide_choices_policy(
-                    self.video,
-                    &self.clients[client as usize].spec,
-                    &self.clients[client as usize].head,
-                    chunk,
-                    now,
-                    &mut self.fscratch,
-                    &mut self.hist,
-                    kind,
-                    &mut prev,
-                );
-                self.prev_levels[client as usize] = prev;
-                choices
-            }
-        };
+        let state = &self.clients[client as usize];
+        let choices = decide_choices(
+            self.video,
+            &state.spec,
+            &state.head,
+            chunk,
+            now,
+            &mut self.fscratch,
+            &mut self.hist,
+            self.policy,
+            &mut self.prev_levels[client as usize],
+        );
         self.apply_decide(client, chunk, &choices, sched);
     }
 
     /// The stateful half of a decide: degrade under egress pressure,
     /// record the plan and request the surviving layers. Shared verbatim
-    /// between the legacy event loop and the batched replay.
+    /// between the oracle's event loop and the batched replay.
     pub(crate) fn apply_decide(
         &mut self,
         client: u32,
@@ -978,7 +945,7 @@ impl EdgeWorld<'_> {
 
     /// The stateful half of a display: score the visible tiles against
     /// what actually arrived. `visible` is the pose's coverage list
-    /// (precomputed by the batched engine, computed inline by legacy).
+    /// (precomputed by the batched engine, computed inline by the oracle).
     pub(crate) fn apply_display(&mut self, client: u32, chunk: u32, visible: &[(TileId, f64)]) {
         let t = ChunkTime(chunk);
         let mut util = 0.0;
@@ -1221,21 +1188,16 @@ pub fn run_edge(video: &VideoModel, config: &EdgeConfig) -> EdgeReport {
     )
 }
 
-/// Run with the default population, recording events into `sink`.
-pub fn run_edge_traced(video: &VideoModel, config: &EdgeConfig, sink: TraceSink) -> EdgeReport {
-    let harness = EdgeHarness {
-        trace: sink,
-        ..Default::default()
-    };
-    run_edge_full(video, config, &default_clients(config), &harness, None)
-}
-
-/// The fully general entry point: explicit client set, harness (trace,
-/// faults, recovery, visibility cache) and optional metrics registry.
+/// The event-driven edge engine, fully general: explicit client set,
+/// harness (trace, faults, recovery, visibility cache, policy) and
+/// optional metrics registry. It is the differential oracle of
+/// [`run_edge_batched`](crate::batch::run_edge_batched), which must
+/// reproduce its report and trace bytes for any worker count.
 ///
 /// Clients are canonicalised (sorted by arrival, then seed/weight/
 /// budget) before anything else, so the returned report and every
-/// emitted trace byte are invariant to the order of `clients`.
+/// emitted trace byte are invariant to the order of `clients`. An
+/// empty `clients` is legal and reports zero traffic.
 pub fn run_edge_full(
     video: &VideoModel,
     config: &EdgeConfig,
@@ -1243,7 +1205,6 @@ pub fn run_edge_full(
     harness: &EdgeHarness,
     metrics: Option<&mut MetricsRegistry>,
 ) -> EdgeReport {
-    assert!(!clients.is_empty(), "at least one client required");
     let mut specs = clients.to_vec();
     specs.sort_by_key(EdgeClientSpec::canonical_key);
 
@@ -1285,8 +1246,10 @@ pub fn run_edge_full(
 
     let admitted = states.iter().filter(|c| c.admitted).count();
     let rejected = states.len() - admitted;
-    let first_arrival = specs.first().expect("non-empty").arrival;
-    let last_arrival = specs.last().expect("non-empty").arrival;
+    // An empty population has no arrivals; its horizon is the video's
+    // own.
+    let first_arrival = specs.first().map_or(SimDuration::ZERO, |s| s.arrival);
+    let last_arrival = specs.last().map_or(SimDuration::ZERO, |s| s.arrival);
 
     let mut world = EdgeWorld::new(video, *config, states, egress, crowds, harness);
 
@@ -1333,7 +1296,7 @@ pub(crate) fn edge_horizon(video: &VideoModel, last_arrival: SimDuration) -> Sim
 }
 
 /// Settle a finished world and assemble its report — shared by the
-/// legacy and batched engines so the accounting is identical code.
+/// oracle and batched engines so the accounting is identical code.
 pub(crate) fn finish_edge_run(
     mut world: EdgeWorld<'_>,
     clients: usize,
@@ -1469,7 +1432,11 @@ mod tests {
             ..Default::default()
         };
         let sink = TraceSink::new(TraceConfig::new(TraceLevel::Events));
-        let r = run_edge_traced(&v, &cfg, sink.clone());
+        let harness = EdgeHarness {
+            trace: sink.clone(),
+            ..Default::default()
+        };
+        let r = run_edge_full(&v, &cfg, &default_clients(&cfg), &harness, None);
         assert_eq!(r.admitted, 5);
         assert_eq!(r.rejected, 7);
         let trace = sink.snapshot();

@@ -30,6 +30,8 @@ fn main() {
                 fov_guided: true,
                 ..Default::default()
             },
+            None,
+            0,
         );
         let agnostic = run_fleet(
             &video,
@@ -40,6 +42,8 @@ fn main() {
                 fov_guided: false,
                 ..Default::default()
             },
+            None,
+            0,
         );
         println!(
             "{:>8} {:>12.0} {:>12.0} {:>9.0}% {:>10.2}",
@@ -63,6 +67,8 @@ fn main() {
                 fov_guided: guided,
                 ..Default::default()
             },
+            None,
+            0,
         );
         println!(
             "  {:<9} viewport utility {:.2}, blank {:>5.1} %, late streams {:>5.1} %",

@@ -49,7 +49,7 @@ fn main() {
     })
     .clients_axis(vec![8, 16, 32])
     .cache_axis(vec![0, 256 << 20]);
-    let sweep = run_edge_sweep(&video, &grid, default_threads());
+    let sweep = run_edge_sweep(&video, &grid, None, default_threads());
 
     println!(
         "\n{:>8} {:>10} {:>12} {:>12} {:>8}",

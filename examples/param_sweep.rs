@@ -26,7 +26,7 @@ fn main() {
     .scheme_axis(vec![true, false]);
 
     let threads = default_threads();
-    let report = run_fleet_sweep(&video, &grid, threads);
+    let report = run_fleet_sweep(&video, &grid, None, threads);
     println!(
         "{}-point fleet sweep on {} worker thread(s)\n",
         report.len(),
@@ -65,7 +65,7 @@ fn main() {
 
     // The headline guarantee, demonstrated: the merged report carries no
     // fingerprint of the worker count.
-    let serial = run_fleet_sweep(&video, &grid, 1);
+    let serial = run_fleet_sweep(&video, &grid, None, 1);
     assert_eq!(serial.to_jsonl(), report.to_jsonl());
     println!(
         "\nserial re-run digest {:#018x} == parallel digest {:#018x}: merges are",

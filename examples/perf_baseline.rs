@@ -17,13 +17,13 @@
 //! branch), never a failure: the write at the end creates it.
 
 use sperke_core::{
-    run_edge_fleet, run_edge_sweep, run_federation, run_fleet_sweep, run_fleet_with_cache,
-    run_shootout, EdgeConfig, EdgeGrid, FederationConfig, FederationHarness, FleetConfig,
-    FleetGrid, LossChannel, ShootoutGrid,
+    run_edge_sweep, run_federation, run_fleet_oracle, run_fleet_sweep, run_shootout, EdgeConfig,
+    EdgeGrid, FederationConfig, FederationHarness, FleetConfig, FleetGrid, LossChannel,
+    ShootoutGrid,
 };
 use sperke_edge::{
-    default_clients, flash_crowd_clients, prepare_edge_batch, run_edge_full, run_edge_prepared,
-    EdgeHarness,
+    default_clients, flash_crowd_clients, prepare_edge_batch, run_edge, run_edge_full,
+    run_edge_prepared, EdgeHarness,
 };
 use sperke_geo::{Orientation, TileGrid, Viewport, VisibilityCache};
 use sperke_hmp::FusedForecaster;
@@ -145,11 +145,11 @@ fn main() {
     };
     let time_fleet = |cache: fn() -> VisibilityCache| {
         // Warm-up run, then median of three timed runs.
-        let report = run_fleet_with_cache(&video, &config, cache());
+        let report = run_fleet_oracle(&video, &config, None, cache());
         let mut secs: Vec<f64> = (0..3)
             .map(|_| {
                 let start = Instant::now();
-                std::hint::black_box(run_fleet_with_cache(&video, &config, cache()));
+                std::hint::black_box(run_fleet_oracle(&video, &config, None, cache()));
                 start.elapsed().as_secs_f64()
             })
             .collect();
@@ -183,7 +183,7 @@ fn main() {
     .scheme_axis(vec![true, false]);
     let points = sweep_grid.points().len() as f64;
     let start = Instant::now();
-    let sweep = run_fleet_sweep(&video, &sweep_grid, 0);
+    let sweep = run_fleet_sweep(&video, &sweep_grid, None, 0);
     let sweep_s = start.elapsed().as_secs_f64();
     assert_eq!(sweep.len(), points as usize);
     println!(
@@ -200,8 +200,8 @@ fn main() {
         max_clients: 64,
         ..Default::default()
     };
-    let cached_edge = run_edge_fleet(&edge_video, &edge_cfg);
-    let uncached_edge = run_edge_fleet(
+    let cached_edge = run_edge(&edge_video, &edge_cfg);
+    let uncached_edge = run_edge(
         &edge_video,
         &EdgeConfig {
             cache_bytes: 0,
@@ -225,7 +225,7 @@ fn main() {
     let mut edge_secs: Vec<f64> = (0..3)
         .map(|_| {
             let start = Instant::now();
-            std::hint::black_box(run_edge_fleet(&edge_video, &edge_cfg));
+            std::hint::black_box(run_edge(&edge_video, &edge_cfg));
             start.elapsed().as_secs_f64()
         })
         .collect();
@@ -249,7 +249,7 @@ fn main() {
     .seed_axis(vec![7, 11]);
     let edge_points = edge_grid.points().len() as f64;
     let start = Instant::now();
-    let edge_sweep = run_edge_sweep(&edge_video, &edge_grid, 0);
+    let edge_sweep = run_edge_sweep(&edge_video, &edge_grid, None, 0);
     let edge_sweep_s = start.elapsed().as_secs_f64();
     assert_eq!(edge_sweep.len(), edge_points as usize);
     let edge_sweep_pps = edge_points / edge_sweep_s;

@@ -15,7 +15,7 @@
 //!    whatever the population size.
 
 use proptest::prelude::*;
-use sperke_core::{EdgeConfig, Sperke};
+use sperke_core::{run_edge_sweep, EdgeConfig, EdgeGrid, EdgeReport, Sperke};
 use sperke_edge::{
     default_clients, run_edge, run_edge_batched, run_edge_full, EdgeClientSpec, EdgeHarness,
 };
@@ -101,6 +101,52 @@ fn zero_byte_cache_reports_only_coalesced_hits() {
     assert_eq!(r.cache.hits, r.cache.coalesced_hits);
     assert_eq!(r.cache.hit_bytes, r.cache.coalesced_hit_bytes);
     assert_eq!(r.cache.evictions, 0);
+}
+
+/// An empty population is a legal, degenerate input: the oracle, the
+/// batched engine at 1 and 4 workers, and a sweep with a zero-client
+/// point all return zero-traffic reports instead of panicking.
+#[test]
+fn empty_population_reports_zero_traffic() {
+    let v = video(6);
+    let cfg = EdgeConfig {
+        clients: 0,
+        ..Default::default()
+    };
+    let check = |r: &EdgeReport| {
+        assert_eq!((r.clients, r.admitted, r.rejected), (0, 0, 0));
+        assert_eq!(
+            (r.egress_bytes, r.origin_bytes, r.origin_failed_bytes),
+            (0, 0, 0)
+        );
+        assert_eq!(r.cache.hit_bytes + r.cache.miss_bytes, 0);
+        for x in [
+            r.mean_viewport_utility,
+            r.mean_blank_fraction,
+            r.late_stream_fraction,
+            r.qoe_score,
+        ] {
+            assert!(x.is_finite());
+        }
+        assert_eq!(
+            r.origin_demand_bytes(),
+            r.cache.miss_bytes + r.cache.prefetch_bytes
+        );
+    };
+    let oracle = run_edge_full(&v, &cfg, &[], &EdgeHarness::default(), None);
+    check(&oracle);
+    for workers in [1usize, 4] {
+        let batched = run_edge_batched(&v, &cfg, &[], &EdgeHarness::default(), None, workers);
+        assert_eq!(oracle, batched, "engines disagree at {workers} workers");
+    }
+
+    let grid = EdgeGrid::new(cfg).clients_axis(vec![0, 4]);
+    let sweep = run_edge_sweep(&v, &grid, None, 2);
+    let points: Vec<_> = sweep.ok_results().collect();
+    assert_eq!(points.len(), 2);
+    check(&points[0].report);
+    assert_eq!(points[0].report, oracle);
+    assert_eq!(points[1].report.admitted, 4);
 }
 
 /// Build a client population from parallel raw draws (the vendored

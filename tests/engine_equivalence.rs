@@ -1,32 +1,40 @@
-//! Differential engine harness: the legacy per-event engines are the
-//! test oracle for the data-oriented batched engines.
+//! Differential engine harness: one event-driven oracle per tier
+//! checks the tier's one run path.
 //!
-//! The determinism contract under test is the PR's headline:
+//! The determinism contract under test:
 //!
-//! > `(config, clients, seed) → byte-identical trace digests` for any
-//! > worker count.
+//! > `(config, clients, policy, seed) → byte-identical trace digests`
+//! > for any worker count.
 //!
-//! Every property here runs the legacy engine (single-threaded,
-//! event-at-a-time — `run_fleet` / `run_edge_full`) and the batched
-//! engine (`run_fleet_batched` / `run_edge_batched`) side by side over
-//! randomized configurations, and requires the *bytes* to match: trace
-//! JSONL, trace digest, and the full report struct. Worker counts 1, 2
-//! and 8 must all land on the same bytes — the sense phase shards by
-//! session index and merges by index, so the thread pool can only
-//! change wall-clock time.
+//! Every property here runs the oracle (single-threaded,
+//! event-at-a-time — `run_fleet_oracle` / `run_edge_full`) and the
+//! batched run path (`run_fleet` / `run_edge_batched`) side by side
+//! over randomized configurations and policies, and requires the
+//! *bytes* to match: trace JSONL, trace digest, and the full report
+//! struct. Worker counts 1, 2 and 8 must all land on the same bytes —
+//! the sense phase shards by session index and merges by index, so the
+//! thread pool can only change wall-clock time.
 
 use proptest::prelude::*;
 use sperke_core::{
-    run_fleet, run_fleet_batched, run_fleet_sweep, run_fleet_sweep_batched, FleetConfig, FleetGrid,
-    Sperke,
+    run_fleet, run_fleet_oracle, run_fleet_sweep, FleetConfig, FleetGrid, FleetSweepPoint, Sperke,
 };
 use sperke_edge::{default_clients, run_edge_batched, run_edge_full, EdgeConfig, EdgeHarness};
+use sperke_geo::VisibilityCache;
 use sperke_net::LossChannel;
+use sperke_sim::sweep::run_sweep;
 use sperke_sim::trace::{TraceConfig, TraceLevel, TraceSink};
 use sperke_sim::SimDuration;
 use sperke_video::{VideoModel, VideoModelBuilder};
+use sperke_vra::AbrPolicyKind;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// Draw index → planner: 0 is the hardwired selector (`None`), 1..=5
+/// the rivals of [`AbrPolicyKind::all`].
+fn policy_for(pick: usize) -> Option<AbrPolicyKind> {
+    pick.checked_sub(1).map(|i| AbrPolicyKind::all()[i])
+}
 
 fn video(seed: u64, secs: u64) -> VideoModel {
     VideoModelBuilder::new(seed)
@@ -37,14 +45,15 @@ fn video(seed: u64, secs: u64) -> VideoModel {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Fleet: randomized viewer counts, egress capacities, schemes and
-    /// seeds — the batched engine reproduces the legacy report exactly
-    /// at every worker count.
+    /// Fleet: randomized viewer counts, egress capacities, schemes,
+    /// policies and seeds — the run path reproduces the oracle's report
+    /// exactly at every worker count.
     #[test]
     fn fleet_engines_agree_bit_for_bit(
         viewers in 1usize..14,
         egress_pick in 0usize..4,
         fov_guided: bool,
+        policy_pick in 0usize..6,
         seed in 0u64..200,
     ) {
         let v = video(3, 8);
@@ -55,9 +64,10 @@ proptest! {
             seed,
             ..Default::default()
         };
-        let legacy = run_fleet(&v, &cfg);
+        let policy = policy_for(policy_pick);
+        let legacy = run_fleet_oracle(&v, &cfg, policy, VisibilityCache::default());
         for workers in WORKER_COUNTS {
-            let batched = run_fleet_batched(&v, &cfg, workers);
+            let batched = run_fleet(&v, &cfg, policy, workers);
             prop_assert_eq!(
                 &legacy, &batched,
                 "fleet engines diverged at {} workers", workers
@@ -65,15 +75,16 @@ proptest! {
         }
     }
 
-    /// Edge: randomized populations, cache sizes, admission caps and
-    /// prefetch settings — report AND trace bytes identical at every
-    /// worker count.
+    /// Edge: randomized populations, cache sizes, admission caps,
+    /// prefetch settings and policies — report AND trace bytes
+    /// identical at every worker count.
     #[test]
     fn edge_engines_agree_on_trace_bytes(
         clients in 1usize..10,
         cap in 1usize..12,
         cache_pick in 0usize..3,
         prefetch: bool,
+        policy_pick in 0usize..6,
         seed in 0u64..200,
     ) {
         let v = video(3, 6);
@@ -86,13 +97,14 @@ proptest! {
             ..Default::default()
         };
         let specs = default_clients(&cfg);
+        let policy = policy_for(policy_pick);
 
         let legacy_sink = TraceSink::new(TraceConfig::new(TraceLevel::Verbose));
         let legacy = run_edge_full(
             &v,
             &cfg,
             &specs,
-            &EdgeHarness { trace: legacy_sink.clone(), ..Default::default() },
+            &EdgeHarness { trace: legacy_sink.clone(), policy, ..Default::default() },
             None,
         );
         let legacy_trace = legacy_sink.snapshot();
@@ -103,7 +115,7 @@ proptest! {
                 &v,
                 &cfg,
                 &specs,
-                &EdgeHarness { trace: sink.clone(), ..Default::default() },
+                &EdgeHarness { trace: sink.clone(), policy, ..Default::default() },
                 None,
                 workers,
             );
@@ -187,8 +199,8 @@ proptest! {
     }
 
     /// Sweeps: a randomized fleet grid merged on a randomized thread
-    /// count — legacy and batched sweeps serialize to the same JSONL and
-    /// digest.
+    /// count — the oracle swept point by point and `run_fleet_sweep`
+    /// serialize to the same JSONL and digest.
     #[test]
     fn sweep_engines_agree_on_merged_bytes(
         viewers in 1usize..5,
@@ -201,8 +213,11 @@ proptest! {
             .egress_axis(vec![60e6, 200e6])
             .scheme_axis(vec![true, false])
             .seed_axis(vec![seed_a, seed_b]);
-        let legacy = run_fleet_sweep(&v, &grid, threads);
-        let batched = run_fleet_sweep_batched(&v, &grid, threads);
+        let legacy = run_sweep(&grid.plan(), threads, |_index, config| FleetSweepPoint {
+            config: *config,
+            report: run_fleet_oracle(&v, config, None, VisibilityCache::default()),
+        });
+        let batched = run_fleet_sweep(&v, &grid, None, threads);
         prop_assert_eq!(legacy.to_jsonl(), batched.to_jsonl());
         prop_assert_eq!(legacy.digest(), batched.digest());
     }
@@ -210,7 +225,8 @@ proptest! {
 
 /// The builder surface goes through the same contract: a traced edge
 /// run from `Sperke::edge_builder` is byte-identical between
-/// `run_report()` (legacy) and `run_batched(w)` for all worker counts.
+/// `run_report()` (the oracle) and `run_batched(w)` for all worker
+/// counts.
 #[test]
 fn edge_builder_engines_agree() {
     let b = Sperke::edge_builder(77)

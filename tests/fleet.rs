@@ -1,8 +1,10 @@
 //! Direct coverage for `core::fleet` — the multi-viewer server-side
 //! experiment: capacity enforcement, the §2 egress-saving claim at
-//! fleet scale, and seed determinism of the default configuration.
+//! fleet scale, seed determinism of the default configuration, and the
+//! empty fleet.
 
-use sperke_core::{run_fleet, FleetConfig, FleetReport};
+use sperke_core::{run_fleet, run_fleet_oracle, FleetConfig, FleetReport};
+use sperke_geo::VisibilityCache;
 use sperke_sim::SimDuration;
 use sperke_video::{VideoModel, VideoModelBuilder};
 
@@ -25,6 +27,8 @@ fn aggregate_egress_never_exceeds_capacity() {
                 egress_bps,
                 ..Default::default()
             },
+            None,
+            1,
         );
         assert!(
             report.egress_bps <= egress_bps * 1.0001,
@@ -54,6 +58,8 @@ fn fov_guided_strictly_beats_full_panorama_on_egress() {
             per_viewer_budget_bps: 10e6,
             ..base
         },
+        None,
+        1,
     );
     let agnostic = run_fleet(
         &v,
@@ -62,6 +68,8 @@ fn fov_guided_strictly_beats_full_panorama_on_egress() {
             per_viewer_budget_bps: 18e6,
             ..base
         },
+        None,
+        1,
     );
     assert!(
         guided.mean_viewport_utility >= agnostic.mean_viewport_utility - 0.15,
@@ -89,6 +97,8 @@ fn default_config_outcomes_are_seed_deterministic() {
                 seed,
                 ..Default::default()
             },
+            None,
+            1,
         )
     };
     let a = run(FleetConfig::default().seed);
@@ -114,6 +124,8 @@ fn late_fraction_stays_a_fraction_and_grows_under_pressure() {
             egress_bps: 500e6,
             ..Default::default()
         },
+        None,
+        1,
     );
     let tight = run_fleet(
         &v,
@@ -122,10 +134,37 @@ fn late_fraction_stays_a_fraction_and_grows_under_pressure() {
             egress_bps: 20e6,
             ..Default::default()
         },
+        None,
+        1,
     );
     for r in [&ample, &tight] {
         assert!((0.0..=1.0).contains(&r.late_stream_fraction));
         assert!((0.0..=1.0).contains(&r.mean_blank_fraction));
     }
     assert!(tight.late_stream_fraction >= ample.late_stream_fraction);
+}
+
+/// A fleet of zero viewers is a legal, degenerate input: both engines
+/// return an all-zero report instead of panicking.
+#[test]
+fn zero_viewers_report_zero_traffic() {
+    let v = video();
+    let cfg = FleetConfig {
+        viewers: 0,
+        ..Default::default()
+    };
+    let oracle = run_fleet_oracle(&v, &cfg, None, VisibilityCache::default());
+    for workers in [1usize, 4] {
+        assert_eq!(oracle, run_fleet(&v, &cfg, None, workers));
+    }
+    assert_eq!(oracle.viewers, 0);
+    assert_eq!(oracle.egress_bytes, 0);
+    for x in [
+        oracle.egress_bps,
+        oracle.mean_viewport_utility,
+        oracle.mean_blank_fraction,
+        oracle.late_stream_fraction,
+    ] {
+        assert_eq!(x, 0.0);
+    }
 }

@@ -13,12 +13,14 @@
 //! then paste the printed constants over the `GOLDEN_*` values below.
 
 use sperke_core::{
-    run_federation, run_fleet_sweep, run_fleet_sweep_batched, run_shootout, FederationConfig,
+    run_federation, run_fleet_oracle, run_fleet_sweep, run_shootout, FederationConfig,
     FederationHarness, FleetConfig, FleetGrid, FleetSweepPoint, RunReport, SchedulerChoice,
     ShootoutGrid, ShootoutReport, Sperke, SweepReport, TraceLevel,
 };
 use sperke_edge::{flash_crowd_clients, FederationRunReport};
+use sperke_geo::VisibilityCache;
 use sperke_hmp::Behavior;
+use sperke_sim::sweep::run_sweep;
 use sperke_sim::SimDuration;
 use sperke_video::VideoModelBuilder;
 
@@ -66,6 +68,11 @@ fn seed_77_matches_golden_trace() {
 /// grid (egress × scheme × seed), merged from three worker threads to
 /// keep the worker-blindness of the merge under golden coverage too.
 fn golden_sweep() -> SweepReport<FleetSweepPoint> {
+    let (video, grid) = golden_sweep_inputs();
+    run_fleet_sweep(&video, &grid, None, 3)
+}
+
+fn golden_sweep_inputs() -> (sperke_video::VideoModel, FleetGrid) {
     let video = VideoModelBuilder::new(29)
         .duration(SimDuration::from_secs(6))
         .build();
@@ -76,7 +83,7 @@ fn golden_sweep() -> SweepReport<FleetSweepPoint> {
     .egress_axis(vec![60e6, 200e6])
     .scheme_axis(vec![true, false])
     .seed_axis(vec![7]);
-    run_fleet_sweep(&video, &grid, 3)
+    (video, grid)
 }
 
 const GOLDEN_SWEEP_DIGEST: u64 = 0x5a2aa78d9b54173d;
@@ -101,29 +108,23 @@ fn fleet_sweep_matches_golden_digest() {
     assert!(report.panicked().is_empty(), "golden grid never panics");
 }
 
-/// The batched data-oriented engine must land on the *same* pinned
-/// digest as the legacy engine — no regenerated constants allowed. This
-/// is the golden half of the engine-equivalence contract: worker-count
-/// blindness is covered in `engine_equivalence.rs`; here the batched
-/// path reproduces history bit-for-bit.
+/// The event-driven fleet oracle must land on the *same* pinned digest
+/// as `run_fleet_sweep` — no regenerated constants allowed. This is the
+/// golden half of the engine-equivalence contract: worker-count
+/// blindness is covered in `engine_equivalence.rs`; here the oracle,
+/// swept point by point, reproduces history bit-for-bit.
 #[test]
 fn batched_engine_reproduces_golden_sweep_digest() {
-    let video = VideoModelBuilder::new(29)
-        .duration(SimDuration::from_secs(6))
-        .build();
-    let grid = FleetGrid::new(FleetConfig {
-        viewers: 3,
-        ..Default::default()
-    })
-    .egress_axis(vec![60e6, 200e6])
-    .scheme_axis(vec![true, false])
-    .seed_axis(vec![7]);
-    let report = run_fleet_sweep_batched(&video, &grid, 3);
+    let (video, grid) = golden_sweep_inputs();
+    let report = run_sweep(&grid.plan(), 3, |_index, config| FleetSweepPoint {
+        config: *config,
+        report: run_fleet_oracle(&video, config, None, VisibilityCache::default()),
+    });
     assert_eq!(report.len(), GOLDEN_SWEEP_POINTS);
     assert_eq!(
         report.digest(),
         GOLDEN_SWEEP_DIGEST,
-        "batched engine drifted from the pinned legacy sweep digest"
+        "fleet oracle drifted from the pinned sweep digest"
     );
     assert_eq!(report.points()[0].trace_digest, GOLDEN_SWEEP_POINT0_DIGEST);
 }

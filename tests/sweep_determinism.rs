@@ -145,10 +145,10 @@ fn fleet_sweep_report_is_byte_identical_across_thread_counts() {
     .egress_axis(vec![60e6, 200e6])
     .scheme_axis(vec![true, false])
     .seed_axis(vec![7, 11]);
-    let serial = run_fleet_sweep(&video, &grid, 1);
+    let serial = run_fleet_sweep(&video, &grid, None, 1);
     assert_eq!(serial.len(), 8);
     for threads in [2usize, 8] {
-        let parallel = run_fleet_sweep(&video, &grid, threads);
+        let parallel = run_fleet_sweep(&video, &grid, None, threads);
         assert_eq!(parallel, serial);
         assert_eq!(parallel.to_jsonl(), serial.to_jsonl(), "threads={threads}");
         assert_eq!(parallel.digest(), serial.digest());
