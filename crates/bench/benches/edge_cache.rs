@@ -5,7 +5,7 @@
 
 use sperke_bench::{cols, header, note, row};
 use sperke_core::EdgeConfig;
-use sperke_edge::{default_clients, run_edge, run_edge_batched, run_edge_full, EdgeHarness};
+use sperke_edge::{default_clients, run_edge, run_edge_oracle, EdgeHarness};
 use sperke_sim::SimDuration;
 use sperke_video::VideoModelBuilder;
 use std::time::Instant;
@@ -23,15 +23,20 @@ fn main() {
     for &n in &[8usize, 16, 32] {
         for (label, cache_bytes, prefetch) in [("off", 0u64, false), ("256MiB", 256u64 << 20, true)]
         {
+            let cfg = EdgeConfig {
+                clients: n,
+                max_clients: 64,
+                cache_bytes,
+                prefetch,
+                ..Default::default()
+            };
             let r = run_edge(
                 &video,
-                &EdgeConfig {
-                    clients: n,
-                    max_clients: 64,
-                    cache_bytes,
-                    prefetch,
-                    ..Default::default()
-                },
+                &cfg,
+                &default_clients(&cfg),
+                &EdgeHarness::default(),
+                None,
+                0,
             );
             row(
                 &format!("{n} / {label}"),
@@ -88,9 +93,9 @@ fn main() {
             (report, secs[1])
         };
         let (legacy, legacy_s) =
-            time(&|| run_edge_full(&video, &cfg, &specs, &EdgeHarness::default(), None));
+            time(&|| run_edge_oracle(&video, &cfg, &specs, &EdgeHarness::default(), None));
         let (batched, batched_s) =
-            time(&|| run_edge_batched(&video, &cfg, &specs, &EdgeHarness::default(), None, 0));
+            time(&|| run_edge(&video, &cfg, &specs, &EdgeHarness::default(), None, 0));
         assert_eq!(
             legacy, batched,
             "{n} clients: engines must agree bit-for-bit"

@@ -182,21 +182,12 @@ impl Sperke {
     /// cache is already on by default; pass a [`VisibilityCache`] handle
     /// explicitly to share one memo across several experiments in the
     /// same thread, e.g. a seed panel replaying the same video.
+    /// [`VisibilityCache::new`] bounds it to a capacity;
+    /// [`VisibilityCache::disabled`] turns memoization off, the uncached
+    /// baseline the perf harness measures against.
     pub fn vis_cache(mut self, cache: VisibilityCache) -> Self {
         self.player.vis_cache = cache;
         self
-    }
-
-    /// Bound the tile-visibility memo to `capacity` entries.
-    pub fn with_vis_cache(self, capacity: usize) -> Self {
-        self.vis_cache(VisibilityCache::new(capacity))
-    }
-
-    /// Disable tile-visibility memoization: every display evaluation
-    /// recomputes from scratch (the uncached baseline the perf harness
-    /// measures against).
-    pub fn without_vis_cache(self) -> Self {
-        self.vis_cache(VisibilityCache::disabled())
     }
 
     /// Video duration.
@@ -662,8 +653,8 @@ mod tests {
                 .scheduler(SchedulerChoice::ContentAware)
                 .with_trace(TraceLevel::Verbose)
         };
-        let cached = base().with_vis_cache(64).run_report();
-        let uncached = base().without_vis_cache().run_report();
+        let cached = base().vis_cache(VisibilityCache::new(64)).run_report();
+        let uncached = base().vis_cache(VisibilityCache::disabled()).run_report();
         assert_eq!(
             cached.to_jsonl(),
             uncached.to_jsonl(),

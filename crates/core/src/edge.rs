@@ -1,267 +1,18 @@
-//! Edge-fleet entry points: the fluent builder and the sweep grid for
-//! the [`sperke_edge`] multi-client edge-server model.
+//! The edge-tier sweep grid for the [`sperke_edge`] multi-client
+//! edge-server model.
 //!
-//! [`Sperke::edge_builder`] is the five-line way to run an edge
-//! experiment; [`sperke_edge::run_edge`] is the direct function form;
-//! and [`EdgeGrid`] → [`run_edge_sweep`] fans a clients × cache × seeds
-//! grid across CPU cores through the batched engine, with the same
-//! byte-determinism guarantee as the fleet sweep: the merged report is
-//! identical for any worker count.
+//! One edge run is described by a plain [`EdgeConfig`] plus an
+//! [`EdgeHarness`] and run by [`sperke_edge::run_edge`] (its oracle is
+//! [`sperke_edge::run_edge_oracle`]). [`EdgeGrid`] → [`run_edge_sweep`]
+//! fans a clients × cache × seeds grid across CPU cores through the
+//! same run path, with the same byte-determinism guarantee as the fleet
+//! sweep: the merged report is identical for any worker count.
 
-use crate::builder::Sperke;
 use serde::{Deserialize, Serialize};
-use sperke_edge::{
-    run_edge_batched, run_edge_full, EdgeClientSpec, EdgeConfig, EdgeHarness, EdgeReport,
-};
-use sperke_geo::VisibilityCache;
-use sperke_net::{FaultScript, LossChannel, RecoveryPolicy};
+use sperke_edge::{run_edge, EdgeConfig, EdgeHarness, EdgeReport};
 use sperke_sim::sweep::{run_sweep, SweepPlan, SweepReport};
-use sperke_sim::trace::{Trace, TraceLevel, TraceSink};
-use sperke_sim::{MetricsRegistry, SimDuration};
 use sperke_video::VideoModel;
 use sperke_vra::AbrPolicyKind;
-
-/// The outcome of a traced edge run: report plus captured trace.
-#[derive(Debug, Clone)]
-pub struct EdgeRunReport {
-    /// The edge run's aggregate outcome.
-    pub report: EdgeReport,
-    /// The captured trace (empty when tracing was off).
-    pub trace: Trace,
-}
-
-impl EdgeRunReport {
-    /// Stable FNV-1a fingerprint of the trace's JSONL bytes.
-    pub fn trace_digest(&self) -> u64 {
-        self.trace.digest()
-    }
-}
-
-/// A declarative edge experiment, built by [`Sperke::edge_builder`].
-#[derive(Debug, Clone)]
-pub struct EdgeBuilder {
-    config: EdgeConfig,
-    duration: SimDuration,
-    clients: Option<Vec<EdgeClientSpec>>,
-    faults: FaultScript,
-    recovery: RecoveryPolicy,
-    trace: TraceLevel,
-    vis: VisibilityCache,
-    bbr: bool,
-    origin_loss: LossChannel,
-    policy: Option<AbrPolicyKind>,
-}
-
-impl Sperke {
-    /// Start an edge-fleet experiment from defaults: 16 clients on a
-    /// 12 s generic video, a 400 Mbps egress, an 80 Mbps origin
-    /// backhaul and a 256 MiB shared tile cache.
-    ///
-    /// ```
-    /// use sperke_core::Sperke;
-    ///
-    /// let report = Sperke::edge_builder(7).clients(8).run();
-    /// assert_eq!(report.admitted, 8);
-    /// assert!(report.cache.hits > 0, "shared viewing hits the cache");
-    /// ```
-    pub fn edge_builder(seed: u64) -> EdgeBuilder {
-        EdgeBuilder {
-            config: EdgeConfig {
-                seed,
-                ..Default::default()
-            },
-            duration: SimDuration::from_secs(12),
-            clients: None,
-            faults: FaultScript::none(),
-            recovery: RecoveryPolicy::default(),
-            trace: TraceLevel::Off,
-            vis: VisibilityCache::default(),
-            bbr: false,
-            origin_loss: LossChannel::Declared,
-            policy: None,
-        }
-    }
-}
-
-impl EdgeBuilder {
-    /// Number of clients attaching (the default evenly-spaced
-    /// population; see [`EdgeBuilder::client_specs`] for full control).
-    pub fn clients(mut self, clients: usize) -> Self {
-        self.config.clients = clients;
-        self
-    }
-
-    /// Admission cap.
-    pub fn max_clients(mut self, max_clients: usize) -> Self {
-        self.config.max_clients = max_clients;
-        self
-    }
-
-    /// Supply the exact client population (arrivals, seeds, weights,
-    /// budgets). Order does not matter — runs canonicalise it.
-    pub fn client_specs(mut self, specs: Vec<EdgeClientSpec>) -> Self {
-        self.clients = Some(specs);
-        self
-    }
-
-    /// Shared egress capacity, bits/second.
-    pub fn egress(mut self, bps: f64) -> Self {
-        self.config.egress_bps = bps;
-        self
-    }
-
-    /// Origin backhaul capacity, bits/second.
-    pub fn origin(mut self, bps: f64) -> Self {
-        self.config.origin_bps = bps;
-        self
-    }
-
-    /// Tile cache capacity in bytes (0 disables: the no-cache baseline).
-    pub fn cache_bytes(mut self, bytes: u64) -> Self {
-        self.config.cache_bytes = bytes;
-        self
-    }
-
-    /// Enable or disable crowd-driven prefetching.
-    pub fn prefetch(mut self, on: bool) -> Self {
-        self.config.prefetch = on;
-        self
-    }
-
-    /// Video duration.
-    pub fn duration(mut self, d: SimDuration) -> Self {
-        self.duration = d;
-        self
-    }
-
-    /// Replace the whole config (the builder's other setters mutate it).
-    pub fn config(mut self, config: EdgeConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Attach a fault script to the origin backhaul (path 0).
-    pub fn with_faults(mut self, faults: FaultScript) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Retry policy for failed origin fetches.
-    pub fn with_resilience(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Record a deterministic trace of the run at `level`.
-    pub fn with_trace(mut self, level: TraceLevel) -> Self {
-        self.trace = level;
-        self
-    }
-
-    /// Share a visibility-cache handle (speed only, never outcomes).
-    pub fn vis_cache(mut self, vis: VisibilityCache) -> Self {
-        self.vis = vis;
-        self
-    }
-
-    /// Probe the origin backhaul with a BBR-style estimator and pace
-    /// fetches at the measured rate. Off by default.
-    pub fn with_bbr(mut self) -> Self {
-        self.bbr = true;
-        self
-    }
-
-    /// Loss model for origin fetch attempts (default
-    /// [`LossChannel::Declared`]: fault script only).
-    pub fn with_origin_loss(mut self, channel: LossChannel) -> Self {
-        self.origin_loss = channel;
-        self
-    }
-
-    /// Plan every client decide with a rival viewport-adaptation
-    /// policy. [`AbrPolicyKind::Knapsack`] and [`AbrPolicyKind::Sperke`]
-    /// reproduce the default hardwired selector byte-for-byte.
-    pub fn abr_policy(mut self, kind: AbrPolicyKind) -> Self {
-        self.policy = Some(kind);
-        self
-    }
-
-    /// The video this experiment streams (seeded by the config seed).
-    pub fn build_video(&self) -> VideoModel {
-        sperke_video::VideoModelBuilder::new(self.config.seed)
-            .duration(self.duration)
-            .build()
-    }
-
-    fn client_set(&self) -> Vec<EdgeClientSpec> {
-        self.clients
-            .clone()
-            .unwrap_or_else(|| sperke_edge::default_clients(&self.config))
-    }
-
-    /// Run the experiment.
-    pub fn run(&self) -> EdgeReport {
-        self.run_report().report
-    }
-
-    /// Run and return both the report and the captured trace.
-    pub fn run_report(&self) -> EdgeRunReport {
-        self.run_metered(None)
-    }
-
-    /// Run, additionally accumulating counters into `metrics`.
-    pub fn run_metered(&self, metrics: Option<&mut MetricsRegistry>) -> EdgeRunReport {
-        let video = self.build_video();
-        let sink = TraceSink::with_level(self.trace);
-        let harness = EdgeHarness {
-            trace: sink.clone(),
-            faults: self.faults.clone(),
-            recovery: self.recovery,
-            vis: self.vis.clone(),
-            bbr: self.bbr,
-            origin_loss: self.origin_loss,
-            policy: self.policy,
-        };
-        let report = run_edge_full(&video, &self.config, &self.client_set(), &harness, metrics);
-        drop(harness);
-        EdgeRunReport {
-            report,
-            trace: sink.into_trace(),
-        }
-    }
-
-    /// Run the experiment through the batched engine on `workers` sense
-    /// threads (`0` = machine default). Report and trace are
-    /// byte-identical to [`EdgeBuilder::run_report`] for any worker
-    /// count — the differential harness in `tests/engine_equivalence.rs`
-    /// pins this.
-    pub fn run_batched(&self, workers: usize) -> EdgeRunReport {
-        let video = self.build_video();
-        let sink = TraceSink::with_level(self.trace);
-        let harness = EdgeHarness {
-            trace: sink.clone(),
-            faults: self.faults.clone(),
-            recovery: self.recovery,
-            vis: self.vis.clone(),
-            bbr: self.bbr,
-            origin_loss: self.origin_loss,
-            policy: self.policy,
-        };
-        let report = run_edge_batched(
-            &video,
-            &self.config,
-            &self.client_set(),
-            &harness,
-            None,
-            workers,
-        );
-        drop(harness);
-        EdgeRunReport {
-            report,
-            trace: sink.into_trace(),
-        }
-    }
-}
 
 /// A rectangular grid over [`EdgeConfig`]: clients × cache capacity ×
 /// seeds, applied over a shared base config. Point order is
@@ -358,7 +109,7 @@ pub fn run_edge_sweep(
 ) -> SweepReport<EdgeSweepPoint> {
     run_sweep(&grid.plan(), threads, |_index, config| EdgeSweepPoint {
         config: *config,
-        report: run_edge_batched(
+        report: run_edge(
             video,
             config,
             &sperke_edge::default_clients(config),
@@ -375,6 +126,8 @@ pub fn run_edge_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sperke_edge::{default_clients, run_edge_oracle};
+    use sperke_sim::{SimDuration, TraceLevel, TraceSink};
     use sperke_video::VideoModelBuilder;
 
     fn video() -> VideoModel {
@@ -383,33 +136,9 @@ mod tests {
             .build()
     }
 
-    #[test]
-    fn builder_runs_and_is_deterministic() {
-        let mk = || {
-            Sperke::edge_builder(5)
-                .clients(6)
-                .duration(SimDuration::from_secs(8))
-                .run()
-        };
-        let r = mk();
-        assert_eq!(r.admitted, 6);
-        assert_eq!(r, mk());
-    }
-
-    #[test]
-    fn builder_trace_digest_is_stable() {
-        let mk = || {
-            Sperke::edge_builder(9)
-                .clients(5)
-                .duration(SimDuration::from_secs(6))
-                .with_trace(TraceLevel::Verbose)
-                .run_report()
-        };
-        let a = mk();
-        let b = mk();
-        assert!(!a.trace.is_empty());
-        assert_eq!(a.trace_digest(), b.trace_digest());
-        assert_eq!(a.report, b.report);
+    /// The oracle over the config's default population, untraced.
+    fn oracle(video: &VideoModel, config: &EdgeConfig, harness: &EdgeHarness) -> EdgeReport {
+        run_edge_oracle(video, config, &default_clients(config), harness, None)
     }
 
     #[test]
@@ -444,16 +173,28 @@ mod tests {
     }
 
     #[test]
-    fn batched_builder_and_sweep_match_legacy() {
-        let b = Sperke::edge_builder(11)
-            .clients(6)
+    fn run_path_and_sweep_match_oracle() {
+        let config = EdgeConfig {
+            seed: 11,
+            clients: 6,
+            ..Default::default()
+        };
+        let v8 = VideoModelBuilder::new(11)
             .duration(SimDuration::from_secs(8))
-            .with_trace(TraceLevel::Events);
-        let legacy = b.run_report();
+            .build();
+        let clients = default_clients(&config);
+        let traced = |run: &dyn Fn(&EdgeHarness) -> EdgeReport| {
+            let sink = TraceSink::with_level(TraceLevel::Events);
+            let report = run(&EdgeHarness {
+                trace: sink.clone(),
+                ..Default::default()
+            });
+            (report, sink.into_trace().digest())
+        };
+        let legacy = traced(&|h| run_edge_oracle(&v8, &config, &clients, h, None));
         for workers in [1usize, 4] {
-            let batched = b.run_batched(workers);
-            assert_eq!(legacy.report, batched.report);
-            assert_eq!(legacy.trace_digest(), batched.trace_digest());
+            let batched = traced(&|h| run_edge(&v8, &config, &clients, h, None, workers));
+            assert_eq!(legacy, batched, "diverged at {workers} workers");
         }
 
         let v = video();
@@ -465,7 +206,7 @@ mod tests {
         .seed_axis(vec![7]);
         let oracle_sweep = run_sweep(&grid.plan(), 2, |_index, config| EdgeSweepPoint {
             config: *config,
-            report: sperke_edge::run_edge(&v, config),
+            report: oracle(&v, config, &EdgeHarness::default()),
         });
         let sweep = run_edge_sweep(&v, &grid, None, 2);
         assert_eq!(oracle_sweep.to_jsonl(), sweep.to_jsonl());
@@ -473,22 +214,30 @@ mod tests {
     }
 
     #[test]
-    fn policy_edge_builder_and_sweep_collapse_to_legacy() {
-        let base = Sperke::edge_builder(13)
-            .clients(5)
-            .duration(SimDuration::from_secs(8));
-        let legacy = base.clone().run();
+    fn policy_run_path_and_sweep_collapse_to_legacy() {
+        let config = EdgeConfig {
+            seed: 13,
+            clients: 5,
+            ..Default::default()
+        };
+        let v8 = VideoModelBuilder::new(13)
+            .duration(SimDuration::from_secs(8))
+            .build();
+        let with_policy = |policy| EdgeHarness {
+            policy,
+            ..Default::default()
+        };
+        let legacy = oracle(&v8, &config, &EdgeHarness::default());
         assert_eq!(
             legacy,
-            base.clone().abr_policy(AbrPolicyKind::Knapsack).run(),
-            "knapsack builder diverged from legacy"
+            oracle(&v8, &config, &with_policy(Some(AbrPolicyKind::Knapsack))),
+            "knapsack oracle diverged from legacy"
         );
-        let qer = base.clone().abr_policy(AbrPolicyKind::qer_default());
-        let qer_legacy = qer.run();
+        let qer = with_policy(Some(AbrPolicyKind::qer_default()));
         assert_eq!(
-            qer_legacy,
-            qer.run_batched(4).report,
-            "qer batched diverged from qer legacy"
+            oracle(&v8, &config, &qer),
+            run_edge(&v8, &config, &default_clients(&config), &qer, None, 4),
+            "qer run path diverged from qer oracle"
         );
 
         let v = video();

@@ -29,29 +29,32 @@
 //! assert_eq!(result.qoe.chunks, 10);
 //! println!("viewport utility {:.2}, stalls {}", result.qoe.mean_viewport_utility, result.qoe.stall_count);
 //! ```
+//!
+//! The delivery tiers above one session are plain data with one run
+//! path each: [`FleetConfig`] → [`run_fleet`] (oracle
+//! [`run_fleet_oracle`]), [`EdgeConfig`] + [`EdgeHarness`] →
+//! [`run_edge`] (oracle [`run_edge_oracle`]), and [`FederationConfig`] +
+//! [`FederationHarness`] → [`run_federation`]. [`FleetGrid`] and
+//! [`EdgeGrid`] sweep the first two across CPU cores.
 
 #![warn(missing_docs)]
 
 pub mod builder;
 pub mod edge;
-pub mod federation;
 pub mod fleet;
 pub mod shootout;
 pub mod sweep;
 
 pub use builder::{AbrChoice, RunReport, SchedulerChoice, Sperke};
-pub use edge::{run_edge_sweep, EdgeBuilder, EdgeGrid, EdgeRunReport, EdgeSweepPoint};
-pub use federation::{
-    run_federation_sweep, FederationBuilder, FederationGrid, FederationSweepPoint,
-};
+pub use edge::{run_edge_sweep, EdgeGrid, EdgeSweepPoint};
 pub use fleet::{run_fleet, run_fleet_oracle, FleetConfig, FleetReport};
 pub use shootout::{
     run_shootout, PolicyRank, ShootoutCell, ShootoutGrid, ShootoutPoint, ShootoutReport,
 };
 pub use sperke_edge::{
-    flash_crowd_clients, run_edge_batched, run_federation, zipf_catalog_clients, EdgeClientSpec,
-    EdgeConfig, EdgeHarness, EdgeReport, FederationConfig, FederationHarness, FederationReport,
-    FederationRunReport, NodeSpec, TileCache,
+    default_clients, flash_crowd_clients, run_edge, run_edge_oracle, run_federation,
+    zipf_catalog_clients, EdgeClientSpec, EdgeConfig, EdgeHarness, EdgeReport, FederationConfig,
+    FederationHarness, FederationReport, FederationRunReport, NodeSpec, TileCache,
 };
 pub use sperke_net::{
     BbrConfig, BbrState, FaultScript, FaultSpec, LossChannel, PathFaults, RecoveryPolicy,

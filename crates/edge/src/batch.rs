@@ -1,7 +1,7 @@
 //! The data-oriented batched edge engine.
 //!
-//! [`run_edge_batched`] produces the same report and the same trace
-//! bytes as [`run_edge_full`](crate::server::run_edge_full) for any
+//! [`run_edge`] produces the same report and the same trace bytes as
+//! its oracle [`run_edge_oracle`](crate::server::run_edge_oracle) for any
 //! `(config, clients, harness)` and any worker count, but restructures
 //! the run into lockstep phases over contiguous per-client arrays:
 //!
@@ -99,7 +99,7 @@ pub struct EdgePlan {
 /// compute every client's pure plan (head trace, gaze reports, decide
 /// selections, display visibility) on `workers` threads (0 = machine
 /// default). The result is worker-count blind. Decides are planned by
-/// the hardwired stochastic selector; [`run_edge_batched`] plans with
+/// the hardwired stochastic selector; [`run_edge`] plans with
 /// [`EdgeHarness::policy`] instead.
 pub fn prepare_edge_batch(
     video: &VideoModel,
@@ -370,12 +370,12 @@ pub fn run_edge_prepared(
     finish_edge_run(world, specs.len(), admitted, rejected, metrics)
 }
 
-/// Run the edge world through the batched engine.
+/// Run the edge world: the run path of the edge tier.
 ///
 /// `workers = 0` picks the machine default; any value (including 1)
 /// yields byte-identical traces and reports — worker count only shards
 /// the pure sense phase, never the replay.
-pub fn run_edge_batched(
+pub fn run_edge(
     video: &VideoModel,
     config: &EdgeConfig,
     clients: &[EdgeClientSpec],
@@ -392,7 +392,7 @@ pub fn run_edge_batched(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{default_clients, run_edge_full};
+    use crate::server::{default_clients, run_edge_oracle};
     use sperke_net::FaultScript;
     use sperke_sim::{TraceConfig, TraceLevel, TraceSink};
     use sperke_video::VideoModelBuilder;
@@ -415,7 +415,7 @@ mod tests {
         for workers in [1usize, 2, 8] {
             let legacy_sink = TraceSink::new(TraceConfig::new(TraceLevel::Events));
             let batch_sink = TraceSink::new(TraceConfig::new(TraceLevel::Events));
-            let legacy = run_edge_full(
+            let legacy = run_edge_oracle(
                 &v,
                 &cfg,
                 &clients,
@@ -425,7 +425,7 @@ mod tests {
                 },
                 None,
             );
-            let batched = run_edge_batched(
+            let batched = run_edge(
                 &v,
                 &cfg,
                 &clients,
@@ -453,7 +453,7 @@ mod tests {
             ..Default::default()
         };
         let clients = default_clients(&cfg);
-        let legacy = run_edge_full(&v, &cfg, &clients, &EdgeHarness::default(), None);
+        let legacy = run_edge_oracle(&v, &cfg, &clients, &EdgeHarness::default(), None);
         for kind in [AbrPolicyKind::Knapsack, AbrPolicyKind::Sperke] {
             let harness = EdgeHarness {
                 policy: Some(kind),
@@ -461,13 +461,13 @@ mod tests {
             };
             assert_eq!(
                 legacy,
-                run_edge_full(&v, &cfg, &clients, &harness, None),
+                run_edge_oracle(&v, &cfg, &clients, &harness, None),
                 "{} inline diverged from legacy",
                 kind.name()
             );
             assert_eq!(
                 legacy,
-                run_edge_batched(&v, &cfg, &clients, &harness, None, 4),
+                run_edge(&v, &cfg, &clients, &harness, None, 4),
                 "{} batched diverged from legacy",
                 kind.name()
             );
@@ -487,8 +487,8 @@ mod tests {
             ..Default::default()
         };
         let clients = default_clients(&cfg);
-        let legacy = run_edge_full(&v, &cfg, &clients, &harness, None);
-        let batched = run_edge_batched(&v, &cfg, &clients, &harness, None, 4);
+        let legacy = run_edge_oracle(&v, &cfg, &clients, &harness, None);
+        let batched = run_edge(&v, &cfg, &clients, &harness, None, 4);
         assert_eq!(legacy, batched);
     }
 }

@@ -10,13 +10,13 @@
 //!   under egress pressure, a serialized origin backhaul with
 //!   fault-scripted outages and retry/backoff recovery, and
 //!   crowd-driven cache pre-warming from attached clients' head traces;
-//! * two engines over that world: [`run_edge_batched`] (and its
+//! * two engines over that world, both described by one plain
+//!   [`EdgeConfig`] plus an [`EdgeHarness`]: [`run_edge`] (and its
 //!   [`prepare_edge_batch`] / [`run_edge_prepared`] split) is the run
 //!   path — the sense phase shards over `workers` threads, the replay
-//!   is serial — and [`run_edge_full`] (with its default-population
-//!   shorthand [`run_edge`]) is the event-driven differential oracle it
-//!   must match byte for byte. Both take the planner from
-//!   [`EdgeHarness::policy`];
+//!   is serial — and [`run_edge_oracle`] is the event-driven
+//!   differential oracle it must match byte for byte. Both take the
+//!   planner from [`EdgeHarness::policy`];
 //! * [`run_federation`] — N edges behind a shared regional tier, built
 //!   on the batched engine's sense kernel;
 //! * [`EdgeReport`] — the aggregate outcome, a pure function of
@@ -24,14 +24,16 @@
 //!   and reports zero traffic.
 //!
 //! ```
-//! use sperke_edge::{run_edge, EdgeConfig};
+//! use sperke_edge::{default_clients, run_edge, EdgeConfig, EdgeHarness};
 //! use sperke_sim::SimDuration;
 //! use sperke_video::VideoModelBuilder;
 //!
 //! let video = VideoModelBuilder::new(1)
 //!     .duration(SimDuration::from_secs(8))
 //!     .build();
-//! let report = run_edge(&video, &EdgeConfig { clients: 6, ..Default::default() });
+//! let config = EdgeConfig { clients: 6, ..Default::default() };
+//! let clients = default_clients(&config);
+//! let report = run_edge(&video, &config, &clients, &EdgeHarness::default(), None, 0);
 //! assert_eq!(report.admitted, 6);
 //! // Origin traffic balances cache accounting exactly.
 //! assert_eq!(
@@ -47,12 +49,12 @@ pub mod cache;
 pub mod federation;
 pub mod server;
 
-pub use batch::{prepare_edge_batch, run_edge_batched, run_edge_prepared, EdgePlan};
+pub use batch::{prepare_edge_batch, run_edge, run_edge_prepared, EdgePlan};
 pub use cache::{CacheKey, TileCache, TileCacheStats};
 pub use federation::{
     flash_crowd_clients, run_federation, zipf_catalog_clients, FederationConfig, FederationHarness,
     FederationReport, FederationRunReport, NodeSpec,
 };
 pub use server::{
-    default_clients, run_edge, run_edge_full, EdgeClientSpec, EdgeConfig, EdgeHarness, EdgeReport,
+    default_clients, run_edge_oracle, EdgeClientSpec, EdgeConfig, EdgeHarness, EdgeReport,
 };

@@ -1177,28 +1177,17 @@ impl World<EdgeEvent> for EdgeWorld<'_> {
     }
 }
 
-/// Run the edge world: default client population, no faults, no trace.
-pub fn run_edge(video: &VideoModel, config: &EdgeConfig) -> EdgeReport {
-    run_edge_full(
-        video,
-        config,
-        &default_clients(config),
-        &EdgeHarness::default(),
-        None,
-    )
-}
-
-/// The event-driven edge engine, fully general: explicit client set,
-/// harness (trace, faults, recovery, visibility cache, policy) and
-/// optional metrics registry. It is the differential oracle of
-/// [`run_edge_batched`](crate::batch::run_edge_batched), which must
-/// reproduce its report and trace bytes for any worker count.
+/// The event-driven edge engine: explicit client set, harness (trace,
+/// faults, recovery, visibility cache, policy) and optional metrics
+/// registry. It is the differential oracle of
+/// [`run_edge`](crate::batch::run_edge), which must reproduce its
+/// report and trace bytes for any worker count.
 ///
 /// Clients are canonicalised (sorted by arrival, then seed/weight/
 /// budget) before anything else, so the returned report and every
 /// emitted trace byte are invariant to the order of `clients`. An
 /// empty `clients` is legal and reports zero traffic.
-pub fn run_edge_full(
+pub fn run_edge_oracle(
     video: &VideoModel,
     config: &EdgeConfig,
     clients: &[EdgeClientSpec],
@@ -1397,6 +1386,17 @@ mod tests {
             .build()
     }
 
+    /// The oracle over the config's default population, untraced.
+    fn oracle(video: &VideoModel, config: &EdgeConfig) -> EdgeReport {
+        run_edge_oracle(
+            video,
+            config,
+            &default_clients(config),
+            &EdgeHarness::default(),
+            None,
+        )
+    }
+
     fn small(clients: usize) -> EdgeConfig {
         EdgeConfig {
             clients,
@@ -1408,13 +1408,13 @@ mod tests {
     fn deterministic_report() {
         let v = video();
         let cfg = small(8);
-        assert_eq!(run_edge(&v, &cfg), run_edge(&v, &cfg));
+        assert_eq!(oracle(&v, &cfg), oracle(&v, &cfg));
     }
 
     #[test]
     fn byte_balance_holds() {
         let v = video();
-        let r = run_edge(&v, &small(10));
+        let r = oracle(&v, &small(10));
         assert_eq!(
             r.origin_demand_bytes(),
             r.cache.miss_bytes + r.cache.prefetch_bytes,
@@ -1436,7 +1436,7 @@ mod tests {
             trace: sink.clone(),
             ..Default::default()
         };
-        let r = run_edge_full(&v, &cfg, &default_clients(&cfg), &harness, None);
+        let r = run_edge_oracle(&v, &cfg, &default_clients(&cfg), &harness, None);
         assert_eq!(r.admitted, 5);
         assert_eq!(r.rejected, 7);
         let trace = sink.snapshot();
@@ -1465,8 +1465,8 @@ mod tests {
     #[test]
     fn shared_cache_slashes_origin_traffic() {
         let v = video();
-        let cached = run_edge(&v, &small(12));
-        let uncached = run_edge(
+        let cached = oracle(&v, &small(12));
+        let uncached = oracle(
             &v,
             &EdgeConfig {
                 cache_bytes: 0,
@@ -1487,23 +1487,23 @@ mod tests {
         let v = video();
         let cfg = small(9);
         let mut clients = default_clients(&cfg);
-        let forward = run_edge_full(&v, &cfg, &clients, &EdgeHarness::default(), None);
+        let forward = run_edge_oracle(&v, &cfg, &clients, &EdgeHarness::default(), None);
         clients.reverse();
-        let reversed = run_edge_full(&v, &cfg, &clients, &EdgeHarness::default(), None);
+        let reversed = run_edge_oracle(&v, &cfg, &clients, &EdgeHarness::default(), None);
         assert_eq!(forward, reversed);
     }
 
     #[test]
     fn tight_egress_degrades_instead_of_collapsing() {
         let v = video();
-        let ample = run_edge(
+        let ample = oracle(
             &v,
             &EdgeConfig {
                 egress_bps: 400e6,
                 ..small(12)
             },
         );
-        let tight = run_edge(
+        let tight = oracle(
             &v,
             &EdgeConfig {
                 egress_bps: 18e6,
@@ -1523,7 +1523,7 @@ mod tests {
             ..Default::default()
         };
         let cfg = small(8);
-        let r = run_edge_full(&v, &cfg, &default_clients(&cfg), &harness, None);
+        let r = run_edge_oracle(&v, &cfg, &default_clients(&cfg), &harness, None);
         assert!(r.origin_retries > 0, "outage must schedule retries");
         assert_eq!(
             r.origin_demand_bytes(),
@@ -1537,7 +1537,7 @@ mod tests {
         let v = video();
         let cfg = small(6);
         let mut reg = MetricsRegistry::new();
-        let r = run_edge_full(
+        let r = run_edge_oracle(
             &v,
             &cfg,
             &default_clients(&cfg),
@@ -1555,14 +1555,14 @@ mod tests {
     #[test]
     fn prefetch_prewarms_the_cache() {
         let v = video();
-        let on = run_edge(
+        let on = oracle(
             &v,
             &EdgeConfig {
                 prefetch: true,
                 ..small(14)
             },
         );
-        let off = run_edge(
+        let off = oracle(
             &v,
             &EdgeConfig {
                 prefetch: false,

@@ -23,10 +23,14 @@
 //! cargo run --example capacity_probe
 //! ```
 
-use sperke_core::{BbrConfig, FaultScript, LossChannel, RecoveryPolicy, SchedulerChoice, Sperke};
+use sperke_core::{
+    default_clients, run_edge, BbrConfig, EdgeConfig, EdgeHarness, FaultScript, LossChannel,
+    RecoveryPolicy, SchedulerChoice, Sperke,
+};
 use sperke_hmp::Behavior;
 use sperke_net::{BandwidthTrace, PathModel, PathQueue, Reliability};
 use sperke_sim::{SimDuration, SimRng, SimTime};
+use sperke_video::VideoModelBuilder;
 
 /// Drive back-to-back transfers of `bytes` through a constant-rate
 /// path with BBR enabled; return (epochs until the estimate first came
@@ -145,20 +149,27 @@ fn main() {
         "{:<30} {:>8} {:>9} {:>8}",
         "origin", "qoe", "retries", "late"
     );
-    for (label, loss, bbr) in [
+    let video = VideoModelBuilder::new(7)
+        .duration(SimDuration::from_secs(12))
+        .build();
+    let config = EdgeConfig {
+        seed: 7,
+        clients: 12,
+        ..Default::default()
+    };
+    let clients = default_clients(&config);
+    for (label, origin_loss, bbr) in [
         ("declared", LossChannel::Declared, false),
         ("declared + BBR pacing", LossChannel::Declared, true),
         ("bursty", LossChannel::bursty_default(), false),
         ("bursty + BBR pacing", LossChannel::bursty_default(), true),
     ] {
-        let mut b = Sperke::edge_builder(7)
-            .clients(12)
-            .duration(SimDuration::from_secs(12))
-            .with_origin_loss(loss);
-        if bbr {
-            b = b.with_bbr();
-        }
-        let r = b.run();
+        let harness = EdgeHarness {
+            bbr,
+            origin_loss,
+            ..Default::default()
+        };
+        let r = run_edge(&video, &config, &clients, &harness, None, 0);
         println!(
             "{:<30} {:>8.2} {:>9} {:>7.1}%",
             label,

@@ -6,28 +6,55 @@
 //! cargo run --release --example edge_fleet
 //! ```
 
-use sperke_core::{run_edge_sweep, EdgeConfig, EdgeGrid, Sperke};
+use sperke_core::{
+    default_clients, run_edge, run_edge_sweep, EdgeConfig, EdgeGrid, EdgeHarness, TraceLevel,
+};
+use sperke_edge::TileCacheStats;
 use sperke_sim::sweep::default_threads;
-use sperke_sim::SimDuration;
+use sperke_sim::{SimDuration, TraceSink};
+use sperke_video::VideoModelBuilder;
+
+/// Cache hit rate, percent: every hit, including requests that joined an
+/// origin fetch already in flight.
+fn hit_pct(c: &TileCacheStats) -> f64 {
+    100.0 * c.hits as f64 / (c.hits + c.misses).max(1) as f64
+}
+
+/// Resident hit rate, percent: only hits served from bytes already in
+/// the cache, not joins of in-flight fetches.
+fn resident_hit_pct(c: &TileCacheStats) -> f64 {
+    100.0 * (c.hits - c.coalesced_hits) as f64 / (c.hits + c.misses).max(1) as f64
+}
 
 fn main() {
-    // One traced run first: the builder surface, with the trace digest
-    // proving the run is reproducible byte for byte.
-    let report = Sperke::edge_builder(7)
-        .clients(24)
+    // One traced run first: a plain config on the run path, with the
+    // trace digest proving the run is reproducible byte for byte.
+    let video = VideoModelBuilder::new(7)
         .duration(SimDuration::from_secs(12))
-        .with_trace(sperke_core::TraceLevel::Events)
-        .run_report();
-    let r = &report.report;
+        .build();
+    let config = EdgeConfig {
+        clients: 24,
+        ..Default::default()
+    };
+    let sink = TraceSink::with_level(TraceLevel::Events);
+    let harness = EdgeHarness {
+        trace: sink.clone(),
+        ..Default::default()
+    };
+    let clients = default_clients(&config);
+    let r = run_edge(&video, &config, &clients, &harness, None, 0);
+    drop(harness);
+    let trace = sink.into_trace();
     println!(
         "edge run: {} clients admitted, {} rejected",
         r.admitted, r.rejected
     );
     println!(
-        "  egress {:.1} MB | origin {:.1} MB | cache hit rate {:.1}% | prefetches {}",
+        "  egress {:.1} MB | origin {:.1} MB | cache hit rate {:.1}% (resident {:.1}%) | prefetches {}",
         r.egress_bytes as f64 / 1e6,
         r.origin_demand_bytes() as f64 / 1e6,
-        100.0 * r.cache.hits as f64 / (r.cache.hits + r.cache.misses).max(1) as f64,
+        hit_pct(&r.cache),
+        resident_hit_pct(&r.cache),
         r.cache.prefetches,
     );
     println!(
@@ -35,14 +62,11 @@ fn main() {
         r.mean_viewport_utility,
         r.mean_blank_fraction * 100.0,
         r.qoe_score,
-        report.trace_digest(),
+        trace.digest(),
     );
 
     // The operator's question: what does the shared cache save as the
     // audience grows? Sweep clients × {no cache, 256 MiB cache}.
-    let video = Sperke::edge_builder(7)
-        .duration(SimDuration::from_secs(12))
-        .build_video();
     let grid = EdgeGrid::new(EdgeConfig {
         max_clients: 128,
         ..Default::default()
@@ -52,19 +76,20 @@ fn main() {
     let sweep = run_edge_sweep(&video, &grid, None, default_threads());
 
     println!(
-        "\n{:>8} {:>10} {:>12} {:>12} {:>8}",
-        "clients", "cache", "originMB", "egressMB", "hit%"
+        "\n{:>8} {:>10} {:>12} {:>12} {:>8} {:>8}",
+        "clients", "cache", "originMB", "egressMB", "hit%", "res%"
     );
     for point in sweep.ok_results() {
         let c = &point.config;
         let r = &point.report;
         println!(
-            "{:>8} {:>10} {:>12.1} {:>12.1} {:>8.1}",
+            "{:>8} {:>10} {:>12.1} {:>12.1} {:>8.1} {:>8.1}",
             c.clients,
             if c.cache_bytes == 0 { "off" } else { "256MiB" },
             r.origin_demand_bytes() as f64 / 1e6,
             r.egress_bytes as f64 / 1e6,
-            100.0 * r.cache.hits as f64 / (r.cache.hits + r.cache.misses).max(1) as f64,
+            hit_pct(&r.cache),
+            resident_hit_pct(&r.cache),
         );
     }
 

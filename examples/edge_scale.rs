@@ -12,10 +12,13 @@
 //! EDGE_SCALE_CLIENTS=1000 cargo run --release --example edge_scale
 //! ```
 
-use sperke_core::{run_edge_sweep, EdgeConfig, EdgeGrid, EdgeSweepPoint, Sperke};
-use sperke_edge::run_edge;
+use sperke_core::{
+    default_clients, run_edge_oracle, run_edge_sweep, EdgeConfig, EdgeGrid, EdgeHarness,
+    EdgeSweepPoint,
+};
 use sperke_sim::sweep::run_sweep;
 use sperke_sim::SimDuration;
+use sperke_video::VideoModelBuilder;
 
 fn main() {
     let clients: usize = std::env::var("EDGE_SCALE_CLIENTS")
@@ -32,9 +35,9 @@ fn main() {
         max_clients: clients.max(64).next_power_of_two(),
         ..Default::default()
     };
-    let video = Sperke::edge_builder(base.seed)
+    let video = VideoModelBuilder::new(base.seed)
         .duration(SimDuration::from_secs(secs))
-        .build_video();
+        .build();
     let grid = EdgeGrid::new(base).seed_axis(vec![7, 41, 1013]);
 
     println!(
@@ -65,7 +68,13 @@ fn main() {
     // The per-event engine is the oracle: same grid, same bytes.
     let oracle = run_sweep(&grid.plan(), 2, |_index, config| EdgeSweepPoint {
         config: *config,
-        report: run_edge(&video, config),
+        report: run_edge_oracle(
+            &video,
+            config,
+            &default_clients(config),
+            &EdgeHarness::default(),
+            None,
+        ),
     });
     assert_eq!(
         &oracle.digest(),

@@ -22,8 +22,8 @@ use sperke_core::{
     ShootoutGrid,
 };
 use sperke_edge::{
-    default_clients, flash_crowd_clients, prepare_edge_batch, run_edge, run_edge_full,
-    run_edge_prepared, EdgeHarness,
+    default_clients, flash_crowd_clients, prepare_edge_batch, run_edge_oracle, run_edge_prepared,
+    EdgeHarness,
 };
 use sperke_geo::{Orientation, TileGrid, Viewport, VisibilityCache};
 use sperke_hmp::FusedForecaster;
@@ -200,15 +200,23 @@ fn main() {
         max_clients: 64,
         ..Default::default()
     };
-    let cached_edge = run_edge(&edge_video, &edge_cfg);
-    let uncached_edge = run_edge(
-        &edge_video,
-        &EdgeConfig {
-            cache_bytes: 0,
-            prefetch: false,
-            ..edge_cfg
-        },
-    );
+    // These edge rows time the event-driven oracle, the engine their
+    // committed baseline was measured on.
+    let edge_oracle = |cfg: &EdgeConfig| {
+        run_edge_oracle(
+            &edge_video,
+            cfg,
+            &default_clients(cfg),
+            &EdgeHarness::default(),
+            None,
+        )
+    };
+    let cached_edge = edge_oracle(&edge_cfg);
+    let uncached_edge = edge_oracle(&EdgeConfig {
+        cache_bytes: 0,
+        prefetch: false,
+        ..edge_cfg
+    });
     assert_eq!(
         cached_edge.origin_demand_bytes(),
         cached_edge.cache.miss_bytes + cached_edge.cache.prefetch_bytes,
@@ -225,7 +233,7 @@ fn main() {
     let mut edge_secs: Vec<f64> = (0..3)
         .map(|_| {
             let start = Instant::now();
-            std::hint::black_box(run_edge(&edge_video, &edge_cfg));
+            std::hint::black_box(edge_oracle(&edge_cfg));
             start.elapsed().as_secs_f64()
         })
         .collect();
@@ -270,7 +278,7 @@ fn main() {
     let pr6_steps = pr6_cfg.clients as f64 * edge_video.chunk_count() as f64;
 
     let start = Instant::now();
-    let legacy_1k = run_edge_full(
+    let legacy_1k = run_edge_oracle(
         &edge_video,
         &pr6_cfg,
         &pr6_specs,
@@ -338,7 +346,7 @@ fn main() {
         origin_loss: LossChannel::bursty_default(),
         ..Default::default()
     };
-    let legacy_bbr = run_edge_full(&edge_video, &pr6_cfg, &pr6_specs, &bbr_harness, None);
+    let legacy_bbr = run_edge_oracle(&edge_video, &pr6_cfg, &pr6_specs, &bbr_harness, None);
     let batched_bbr = run_edge_prepared(&edge_video, &pr6_cfg, &plan, &bbr_harness, None);
     assert_eq!(
         legacy_bbr, batched_bbr,

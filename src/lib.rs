@@ -5,3 +5,9 @@
 //! [`sperke_core`] and the per-subsystem crates it re-exports.
 
 pub use sperke_core::*;
+
+/// Compiles and runs every `rust` code block of the README as a doctest,
+/// so the snippets cannot drift from the API they show.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -15,10 +15,8 @@
 //!    whatever the population size.
 
 use proptest::prelude::*;
-use sperke_core::{run_edge_sweep, EdgeConfig, EdgeGrid, EdgeReport, Sperke};
-use sperke_edge::{
-    default_clients, run_edge, run_edge_batched, run_edge_full, EdgeClientSpec, EdgeHarness,
-};
+use sperke_core::{run_edge_sweep, EdgeConfig, EdgeGrid, EdgeReport};
+use sperke_edge::{default_clients, run_edge, run_edge_oracle, EdgeClientSpec, EdgeHarness};
 use sperke_sim::trace::{TraceConfig, TraceLevel, TraceSink};
 use sperke_sim::SimDuration;
 use sperke_video::{VideoModel, VideoModelBuilder};
@@ -27,6 +25,19 @@ fn video(secs: u64) -> VideoModel {
     VideoModelBuilder::new(3)
         .duration(SimDuration::from_secs(secs))
         .build()
+}
+
+/// The run path over the config's default population, untraced.
+fn run(video: &VideoModel, config: &EdgeConfig) -> EdgeReport {
+    let clients = default_clients(config);
+    run_edge(video, config, &clients, &EdgeHarness::default(), None, 0)
+}
+
+/// The event-driven oracle over the config's default population,
+/// untraced.
+fn oracle(video: &VideoModel, config: &EdgeConfig) -> EdgeReport {
+    let clients = default_clients(config);
+    run_edge_oracle(video, config, &clients, &EdgeHarness::default(), None)
 }
 
 /// §2-at-the-edge: with ≥32 clients sharing one cache, each hot tile
@@ -41,8 +52,8 @@ fn shared_cache_halves_origin_egress_for_32_clients() {
         max_clients: 64,
         ..Default::default()
     };
-    let cached = run_edge(&v, &base);
-    let uncached = run_edge(
+    let cached = run(&v, &base);
+    let uncached = run(
         &v,
         &EdgeConfig {
             cache_bytes: 0,
@@ -62,24 +73,19 @@ fn shared_cache_halves_origin_egress_for_32_clients() {
     assert!(cached.mean_viewport_utility >= uncached.mean_viewport_utility - 0.05);
 }
 
-/// The builder surface reaches the same numbers.
+/// The run path and the oracle reach the same numbers on a plain
+/// config.
 #[test]
 fn edge_builder_matches_direct_run() {
-    let direct = run_edge(
-        &VideoModelBuilder::new(7)
-            .duration(SimDuration::from_secs(8))
-            .build(),
-        &EdgeConfig {
-            clients: 6,
-            seed: 7,
-            ..Default::default()
-        },
-    );
-    let built = Sperke::edge_builder(7)
-        .clients(6)
+    let video = VideoModelBuilder::new(7)
         .duration(SimDuration::from_secs(8))
-        .run();
-    assert_eq!(direct, built);
+        .build();
+    let config = EdgeConfig {
+        clients: 6,
+        seed: 7,
+        ..Default::default()
+    };
+    assert_eq!(run(&video, &config), oracle(&video, &config));
 }
 
 /// With no cache at all, every hit an edge reports is a request that
@@ -88,7 +94,7 @@ fn edge_builder_matches_direct_run() {
 /// coalescing off as a cache hit rate.
 #[test]
 fn zero_byte_cache_reports_only_coalesced_hits() {
-    let r = run_edge(
+    let r = run(
         &video(6),
         &EdgeConfig {
             clients: 5,
@@ -133,10 +139,10 @@ fn empty_population_reports_zero_traffic() {
             r.cache.miss_bytes + r.cache.prefetch_bytes
         );
     };
-    let oracle = run_edge_full(&v, &cfg, &[], &EdgeHarness::default(), None);
+    let oracle = run_edge_oracle(&v, &cfg, &[], &EdgeHarness::default(), None);
     check(&oracle);
     for workers in [1usize, 4] {
-        let batched = run_edge_batched(&v, &cfg, &[], &EdgeHarness::default(), None, workers);
+        let batched = run_edge(&v, &cfg, &[], &EdgeHarness::default(), None, workers);
         assert_eq!(oracle, batched, "engines disagree at {workers} workers");
     }
 
@@ -183,7 +189,7 @@ proptest! {
             seed,
             ..Default::default()
         };
-        let r = run_edge(&v, &cfg);
+        let r = oracle(&v, &cfg);
         prop_assert_eq!(
             r.origin_demand_bytes(),
             r.cache.miss_bytes + r.cache.prefetch_bytes,
@@ -208,7 +214,7 @@ proptest! {
         let run = |order: &[EdgeClientSpec]| {
             let sink = TraceSink::new(TraceConfig::new(TraceLevel::Verbose));
             let harness = EdgeHarness { trace: sink.clone(), ..Default::default() };
-            let report = run_edge_full(&v, &cfg, order, &harness, None);
+            let report = run_edge_oracle(&v, &cfg, order, &harness, None);
             let trace = sink.snapshot();
             (report, trace.to_jsonl(), trace.digest())
         };
@@ -240,7 +246,7 @@ proptest! {
             seed,
             ..Default::default()
         };
-        let r = run_edge_batched(
+        let r = run_edge(
             &v, &cfg, &default_clients(&cfg), &EdgeHarness::default(), None, workers,
         );
         prop_assert_eq!(
@@ -266,7 +272,7 @@ proptest! {
         let cfg = EdgeConfig { clients, max_clients: cap, seed, ..Default::default() };
         let sink = TraceSink::new(TraceConfig::new(TraceLevel::Events));
         let harness = EdgeHarness { trace: sink.clone(), ..Default::default() };
-        let r = run_edge_batched(&v, &cfg, &default_clients(&cfg), &harness, None, workers);
+        let r = run_edge(&v, &cfg, &default_clients(&cfg), &harness, None, workers);
         prop_assert!(r.admitted <= cap);
         prop_assert_eq!(r.admitted, clients.min(cap));
         prop_assert_eq!(r.admitted + r.rejected, clients);
@@ -290,7 +296,7 @@ proptest! {
         let cfg = EdgeConfig { clients, max_clients: cap, seed, ..Default::default() };
         let sink = TraceSink::new(TraceConfig::new(TraceLevel::Events));
         let harness = EdgeHarness { trace: sink.clone(), ..Default::default() };
-        let r = run_edge_full(&v, &cfg, &default_clients(&cfg), &harness, None);
+        let r = run_edge_oracle(&v, &cfg, &default_clients(&cfg), &harness, None);
         prop_assert!(r.admitted <= cap);
         prop_assert_eq!(r.admitted, clients.min(cap));
         prop_assert_eq!(r.admitted + r.rejected, clients);

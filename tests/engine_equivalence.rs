@@ -7,8 +7,8 @@
 //! > for any worker count.
 //!
 //! Every property here runs the oracle (single-threaded,
-//! event-at-a-time — `run_fleet_oracle` / `run_edge_full`) and the
-//! batched run path (`run_fleet` / `run_edge_batched`) side by side
+//! event-at-a-time — `run_fleet_oracle` / `run_edge_oracle`) and the
+//! batched run path (`run_fleet` / `run_edge`) side by side
 //! over randomized configurations and policies, and requires the
 //! *bytes* to match: trace JSONL, trace digest, and the full report
 //! struct. Worker counts 1, 2 and 8 must all land on the same bytes —
@@ -17,9 +17,9 @@
 
 use proptest::prelude::*;
 use sperke_core::{
-    run_fleet, run_fleet_oracle, run_fleet_sweep, FleetConfig, FleetGrid, FleetSweepPoint, Sperke,
+    run_fleet, run_fleet_oracle, run_fleet_sweep, FleetConfig, FleetGrid, FleetSweepPoint,
 };
-use sperke_edge::{default_clients, run_edge_batched, run_edge_full, EdgeConfig, EdgeHarness};
+use sperke_edge::{default_clients, run_edge, run_edge_oracle, EdgeConfig, EdgeHarness};
 use sperke_geo::VisibilityCache;
 use sperke_net::LossChannel;
 use sperke_sim::sweep::run_sweep;
@@ -100,7 +100,7 @@ proptest! {
         let policy = policy_for(policy_pick);
 
         let legacy_sink = TraceSink::new(TraceConfig::new(TraceLevel::Verbose));
-        let legacy = run_edge_full(
+        let legacy = run_edge_oracle(
             &v,
             &cfg,
             &specs,
@@ -111,7 +111,7 @@ proptest! {
 
         for workers in WORKER_COUNTS {
             let sink = TraceSink::new(TraceConfig::new(TraceLevel::Verbose));
-            let batched = run_edge_batched(
+            let batched = run_edge(
                 &v,
                 &cfg,
                 &specs,
@@ -176,12 +176,12 @@ proptest! {
         };
 
         let legacy_sink = TraceSink::new(TraceConfig::new(TraceLevel::Verbose));
-        let legacy = run_edge_full(&v, &cfg, &specs, &harness_for(&legacy_sink), None);
+        let legacy = run_edge_oracle(&v, &cfg, &specs, &harness_for(&legacy_sink), None);
         let legacy_trace = legacy_sink.snapshot();
 
         for workers in WORKER_COUNTS {
             let sink = TraceSink::new(TraceConfig::new(TraceLevel::Verbose));
-            let batched = run_edge_batched(&v, &cfg, &specs, &harness_for(&sink), None, workers);
+            let batched = run_edge(&v, &cfg, &specs, &harness_for(&sink), None, workers);
             let trace = sink.snapshot();
             prop_assert_eq!(
                 &legacy, &batched,
@@ -223,29 +223,36 @@ proptest! {
     }
 }
 
-/// The builder surface goes through the same contract: a traced edge
-/// run from `Sperke::edge_builder` is byte-identical between
-/// `run_report()` (the oracle) and `run_batched(w)` for all worker
-/// counts.
+/// A plain edge config goes through the same contract: a traced edge
+/// run is byte-identical between `run_edge_oracle` and `run_edge` for
+/// all worker counts.
 #[test]
 fn edge_builder_engines_agree() {
-    let b = Sperke::edge_builder(77)
-        .clients(9)
-        .max_clients(7)
-        .duration(SimDuration::from_secs(9))
-        .with_trace(TraceLevel::Verbose);
-    let legacy = b.run_report();
+    let v = video(77, 9);
+    let cfg = EdgeConfig {
+        seed: 77,
+        clients: 9,
+        max_clients: 7,
+        ..Default::default()
+    };
+    let specs = default_clients(&cfg);
+    let traced = |run: &dyn Fn(&EdgeHarness) -> sperke_edge::EdgeReport| {
+        let sink = TraceSink::new(TraceConfig::new(TraceLevel::Verbose));
+        let report = run(&EdgeHarness {
+            trace: sink.clone(),
+            ..Default::default()
+        });
+        (report, sink.into_trace())
+    };
+    let (legacy, legacy_trace) = traced(&|h| run_edge_oracle(&v, &cfg, &specs, h, None));
     for workers in WORKER_COUNTS {
-        let batched = b.run_batched(workers);
+        let (batched, trace) = traced(&|h| run_edge(&v, &cfg, &specs, h, None, workers));
+        assert_eq!(legacy, batched, "report diverged at {workers} workers");
         assert_eq!(
-            legacy.report, batched.report,
-            "report diverged at {workers} workers"
-        );
-        assert_eq!(
-            legacy.trace.to_jsonl(),
-            batched.trace.to_jsonl(),
+            legacy_trace.to_jsonl(),
+            trace.to_jsonl(),
             "trace diverged at {workers} workers"
         );
-        assert_eq!(legacy.trace_digest(), batched.trace_digest());
+        assert_eq!(legacy_trace.digest(), trace.digest());
     }
 }

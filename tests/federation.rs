@@ -21,9 +21,8 @@
 
 use proptest::prelude::*;
 use sperke_edge::{
-    default_clients, flash_crowd_clients, run_edge, run_edge_full, run_federation,
-    zipf_catalog_clients, EdgeClientSpec, EdgeConfig, EdgeHarness, FederationConfig,
-    FederationHarness, NodeSpec,
+    default_clients, flash_crowd_clients, run_edge_oracle, run_federation, zipf_catalog_clients,
+    EdgeClientSpec, EdgeConfig, EdgeHarness, FederationConfig, FederationHarness, NodeSpec,
 };
 use sperke_net::FaultScript;
 use sperke_sim::trace::{TraceConfig, TraceLevel, TraceSink};
@@ -60,11 +59,12 @@ fn one_node_federation_is_bit_exact_vs_plain_edge() {
         trace: sink.clone(),
         ..Default::default()
     };
-    let legacy = run_edge_full(&v, &edge_cfg, &default_clients(&edge_cfg), &harness, None);
+    let clients = default_clients(&edge_cfg);
+    let legacy = run_edge_oracle(&v, &edge_cfg, &clients, &harness, None);
     let legacy_trace = sink.snapshot();
     assert_eq!(
         legacy,
-        run_edge(&v, &edge_cfg),
+        run_edge_oracle(&v, &edge_cfg, &clients, &EdgeHarness::default(), None),
         "tracing never changes the report"
     );
 
@@ -80,7 +80,7 @@ fn one_node_federation_is_bit_exact_vs_plain_edge() {
         let fed = run_federation(
             &v,
             &fed_cfg,
-            &default_clients(&edge_cfg),
+            &clients,
             &traced(TraceLevel::Verbose),
             None,
             workers,

@@ -17,12 +17,17 @@ use sperke_core::{
     FederationHarness, FleetConfig, FleetGrid, FleetSweepPoint, RunReport, SchedulerChoice,
     ShootoutGrid, ShootoutReport, Sperke, SweepReport, TraceLevel,
 };
-use sperke_edge::{flash_crowd_clients, FederationRunReport};
+use sperke_edge::{
+    default_clients, flash_crowd_clients, run_edge, run_edge_oracle, EdgeConfig, EdgeHarness,
+    EdgeReport, FederationRunReport,
+};
 use sperke_geo::VisibilityCache;
 use sperke_hmp::Behavior;
+use sperke_net::{FaultScript, LossChannel};
 use sperke_sim::sweep::run_sweep;
-use sperke_sim::SimDuration;
+use sperke_sim::{SimDuration, SimTime, Trace, TraceSink};
 use sperke_video::VideoModelBuilder;
+use sperke_vra::AbrPolicyKind;
 
 /// The exact configuration the goldens were captured from. Must stay in
 /// lockstep with `whole_stack_is_seed_deterministic` in end_to_end.rs.
@@ -177,6 +182,70 @@ fn seed_77_federation_matches_golden_digest() {
     assert_eq!(run.report.failed_nodes, 0);
 }
 
+/// The exact single edge the edge goldens were captured from: a seed-77
+/// edge offered 16 clients with room for 12, a 10 s video, a 2 s origin
+/// outage, BBR pacing, a bursty origin loss channel and QER planning
+/// every decide. `workers: Some(w)` runs the run path on `w` sense
+/// workers; `None` runs the event-driven oracle. Every variant must land
+/// on the same constants.
+fn golden_edge(workers: Option<usize>) -> (EdgeReport, Trace) {
+    let video = VideoModelBuilder::new(77)
+        .duration(SimDuration::from_secs(10))
+        .build();
+    let config = EdgeConfig {
+        seed: 77,
+        clients: 16,
+        max_clients: 12,
+        ..Default::default()
+    };
+    let sink = TraceSink::with_level(TraceLevel::Verbose);
+    let harness = EdgeHarness {
+        trace: sink.clone(),
+        faults: FaultScript::none().link_down(0, SimTime::from_secs(3), SimTime::from_secs(5)),
+        bbr: true,
+        origin_loss: LossChannel::bursty_default(),
+        policy: Some(AbrPolicyKind::qer_default()),
+        ..Default::default()
+    };
+    let clients = default_clients(&config);
+    let report = match workers {
+        Some(w) => run_edge(&video, &config, &clients, &harness, None, w),
+        None => run_edge_oracle(&video, &config, &clients, &harness, None),
+    };
+    drop(harness);
+    (report, sink.into_trace())
+}
+
+const GOLDEN_EDGE_DIGEST: u64 = 0x4ae20e4bf56ae28a;
+const GOLDEN_EDGE_EVENTS: usize = 5448;
+const GOLDEN_EDGE_ORIGIN_BYTES: u64 = 10929496;
+const GOLDEN_EDGE_HIT_BYTES: u64 = 75959341;
+
+#[test]
+fn seed_77_edge_matches_golden_digest() {
+    for workers in [Some(1), Some(4), None] {
+        let (report, trace) = golden_edge(workers);
+        assert_eq!(
+            trace.digest(),
+            GOLDEN_EDGE_DIGEST,
+            "edge trace digest drifted ({workers:?} workers) — if the \
+             behaviour change is intentional, regenerate with \
+             `cargo test --test golden_trace -- --ignored --nocapture`"
+        );
+        assert_eq!(trace.len(), GOLDEN_EDGE_EVENTS, "{workers:?} workers");
+        assert_eq!(
+            report.origin_bytes, GOLDEN_EDGE_ORIGIN_BYTES,
+            "{workers:?} workers"
+        );
+        assert_eq!(
+            report.cache.hit_bytes, GOLDEN_EDGE_HIT_BYTES,
+            "{workers:?} workers"
+        );
+        assert_eq!((report.clients, report.admitted), (16, 12));
+        assert!(report.origin_retries > 0, "the outage must force retries");
+    }
+}
+
 /// The exact shootout the shootout golden was captured from: the
 /// reduced CI smoke grid (all five policies × 2 bandwidths ×
 /// 1 behaviour × 1 seed), run on 3 workers so the merge's
@@ -209,7 +278,7 @@ fn smoke_shootout_matches_golden_digest() {
 }
 
 /// Prints fresh golden constants for ALL goldens (session, sweep,
-/// federation, and shootout).
+/// federation, edge and shootout).
 /// Run with `cargo test --test golden_trace -- --ignored --nocapture`
 /// and paste the output over the `GOLDEN_*` constants above.
 #[test]
@@ -254,6 +323,20 @@ fn regenerate_golden_constants() {
     println!(
         "const GOLDEN_FED_REGIONAL_HIT_BYTES: u64 = {};",
         fed.report.regional.hit_bytes
+    );
+    let (edge, edge_trace) = golden_edge(Some(1));
+    println!(
+        "const GOLDEN_EDGE_DIGEST: u64 = {:#018x};",
+        edge_trace.digest()
+    );
+    println!("const GOLDEN_EDGE_EVENTS: usize = {};", edge_trace.len());
+    println!(
+        "const GOLDEN_EDGE_ORIGIN_BYTES: u64 = {};",
+        edge.origin_bytes
+    );
+    println!(
+        "const GOLDEN_EDGE_HIT_BYTES: u64 = {};",
+        edge.cache.hit_bytes
     );
     let shootout = golden_shootout();
     println!(
