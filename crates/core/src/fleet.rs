@@ -16,9 +16,7 @@
 //! for bit.
 
 use serde::{Deserialize, Serialize};
-use sperke_geo::{
-    visible_tiles_batch, Orientation, TileId, Viewport, VisibilityCache, VisibilityScratch,
-};
+use sperke_geo::{visible_tiles_batch, Orientation, TileId, Viewport, VisibilityScratch};
 use sperke_hmp::{
     generate_ensemble, generate_ensemble_member, AttentionModel, ForecastScratch, FusedForecaster,
     HeadTrace,
@@ -206,8 +204,6 @@ struct FleetWorld<'a> {
     buffers: Vec<HashMap<CellId, Quality>>,
     /// Viewer playback offsets (staggered joins).
     start_offset: Vec<SimDuration>,
-    /// Memoized exact visibility (display-point evaluation hot path).
-    vis: VisibilityCache,
     /// Reusable forecast/history buffers for inline decides.
     fscratch: ForecastScratch,
     hist: Vec<(SimTime, Orientation)>,
@@ -245,7 +241,6 @@ impl FleetWorld<'_> {
         video: &'a VideoModel,
         config: FleetConfig,
         traces: &'a [HeadTrace],
-        vis: VisibilityCache,
     ) -> FleetWorld<'a> {
         FleetWorld {
             video,
@@ -257,7 +252,6 @@ impl FleetWorld<'_> {
             start_offset: (0..config.viewers)
                 .map(|v| SimDuration::from_millis(137 * v as u64))
                 .collect(),
-            vis,
             fscratch: ForecastScratch::new(),
             hist: Vec::new(),
             policy: None,
@@ -345,9 +339,7 @@ impl World<FleetEvent> for FleetWorld<'_> {
             }
             FleetEvent::Display { viewer, chunk } => {
                 let gaze = fleet_gaze(self.video, &self.traces[viewer], chunk);
-                let visible =
-                    self.vis
-                        .visible_tiles(&Viewport::headset(gaze), self.video.grid(), 12);
+                let visible = Viewport::headset(gaze).visible_tiles(self.video.grid(), 12);
                 self.apply_display(viewer, chunk, &visible);
             }
         }
@@ -358,16 +350,14 @@ impl World<FleetEvent> for FleetWorld<'_> {
 /// [`run_fleet`]. Every decide and display runs inline, in time order,
 /// through the discrete-event kernel ([`Simulation`]/[`World`]).
 ///
-/// `policy` plans every FoV-guided decide as in [`run_fleet`]. `vis`
-/// only memoizes exact `visible_tiles` results, so the report is
-/// bit-identical whichever cache handle is passed — including
-/// [`VisibilityCache::disabled`], which recomputes every query and
-/// serves as the uncached baseline in `perf_baseline`.
+/// `policy` plans every FoV-guided decide as in [`run_fleet`]. Each
+/// display computes its visible tiles inline with
+/// [`Viewport::visible_tiles`]; [`run_fleet`] precomputes the same
+/// coverage lists in its sense phase.
 pub fn run_fleet_oracle(
     video: &VideoModel,
     config: &FleetConfig,
     policy: Option<AbrPolicyKind>,
-    vis: VisibilityCache,
 ) -> FleetReport {
     let attention = AttentionModel::generic(config.seed);
     let traces = generate_ensemble(
@@ -377,7 +367,7 @@ pub fn run_fleet_oracle(
         config.seed,
     );
 
-    let mut world = FleetWorld::new(video, *config, &traces, vis);
+    let mut world = FleetWorld::new(video, *config, &traces);
     world.policy = policy;
 
     let mut sim = Simulation::new();
@@ -540,9 +530,7 @@ pub fn run_fleet(
         traces.push(b.trace);
         plans.push((b.selections, b.displays));
     }
-    // The batched path never queries exact visibility at replay time, so
-    // the cache handle is inert; disabled keeps it allocation-free.
-    let mut world = FleetWorld::new(video, cfg, &traces, VisibilityCache::disabled());
+    let mut world = FleetWorld::new(video, cfg, &traces);
 
     // --- Static schedule, pushed in the oracle's `sim.schedule` order so
     // same-instant ties resolve by identical sequence numbers.
@@ -722,18 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_choice_never_changes_the_report() {
-        let v = video();
-        let cfg = FleetConfig {
-            viewers: 5,
-            ..Default::default()
-        };
-        let cached = run_fleet_oracle(&v, &cfg, None, VisibilityCache::new(128));
-        let uncached = run_fleet_oracle(&v, &cfg, None, VisibilityCache::disabled());
-        assert_eq!(cached, uncached);
-    }
-
-    #[test]
     fn run_fleet_matches_oracle_bit_for_bit() {
         let v = video();
         for cfg in [
@@ -754,7 +730,7 @@ mod tests {
                 ..Default::default()
             },
         ] {
-            let oracle = run_fleet_oracle(&v, &cfg, None, VisibilityCache::default());
+            let oracle = run_fleet_oracle(&v, &cfg, None);
             for workers in [1usize, 2, 8] {
                 assert_eq!(
                     oracle,
@@ -785,7 +761,7 @@ mod tests {
             );
             assert_eq!(
                 hardwired,
-                run_fleet_oracle(&v, &cfg, Some(kind), VisibilityCache::default()),
+                run_fleet_oracle(&v, &cfg, Some(kind)),
                 "{} oracle diverged from the hardwired selector",
                 kind.name()
             );

@@ -214,7 +214,6 @@ where
 mod tests {
     use super::*;
     use crate::fleet::run_fleet_oracle;
-    use sperke_geo::VisibilityCache;
     use sperke_sim::SimDuration;
     use sperke_video::VideoModelBuilder;
 
@@ -280,7 +279,7 @@ mod tests {
         let grid = small_grid();
         let oracle = run_sweep(&grid.plan(), 2, |_index, config| FleetSweepPoint {
             config: *config,
-            report: run_fleet_oracle(&v, config, None, VisibilityCache::default()),
+            report: run_fleet_oracle(&v, config, None),
         });
         let swept = run_fleet_sweep(&v, &grid, None, 2);
         assert_eq!(oracle.to_jsonl(), swept.to_jsonl());

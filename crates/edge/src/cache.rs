@@ -6,8 +6,8 @@
 //! origin backhaul exactly once, however many clients are waiting on it.
 //! Eviction is least-recently-used on a monotone logical tick (every
 //! touch stamps a fresh, unique tick), so for a given access sequence
-//! the eviction schedule is fully deterministic — the same property the
-//! geometry [`VisibilityCache`](sperke_geo::VisibilityCache) pins down.
+//! the eviction schedule is fully deterministic: hits, misses and
+//! evictions depend only on that sequence, never on hash-map order.
 //!
 //! # Recency queue
 //!

@@ -45,7 +45,7 @@ use crate::server::{
     EdgeHarness, EdgeReport, EdgeSched, EdgeWorld, UpstreamDecision,
 };
 use serde::{Deserialize, Serialize};
-use sperke_geo::{TileId, VisibilityCache};
+use sperke_geo::TileId;
 use sperke_hmp::AttentionModel;
 use sperke_live::CrowdAggregator;
 use sperke_net::{FaultScript, PathFaults, RecoveryPolicy, SerialLink, WrrLink};
@@ -169,8 +169,6 @@ pub struct FederationHarness {
     pub origin_faults: FaultScript,
     /// Retry policy for origin fetches forwarded by the regional tier.
     pub recovery: RecoveryPolicy,
-    /// Visibility cache handle (memoization only; never changes bytes).
-    pub vis: VisibilityCache,
 }
 
 impl Default for FederationHarness {
@@ -180,7 +178,6 @@ impl Default for FederationHarness {
             node_faults: FaultScript::none(),
             origin_faults: FaultScript::none(),
             recovery: RecoveryPolicy::default(),
-            vis: VisibilityCache::default(),
         }
     }
 }
@@ -719,7 +716,6 @@ pub fn run_federation(
             .collect();
         let node_harness = EdgeHarness {
             trace: node_sinks[n].clone(),
-            vis: harness.vis.clone(),
             ..Default::default()
         };
         let mut world = EdgeWorld::new(video, node_config, states, egress, crowds, &node_harness);

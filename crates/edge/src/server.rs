@@ -29,11 +29,11 @@
 //! The whole run is a pure function of `(config, clients, faults,
 //! seed)`: reports compare bit-for-bit and traces digest identically
 //! whatever order clients were supplied in (they are canonicalised
-//! first) and whatever visibility-cache handle is passed.
+//! first).
 
 use crate::cache::{CacheKey, TileCache, TileCacheStats};
 use serde::{Deserialize, Serialize};
-use sperke_geo::{Orientation, TileGrid, TileId, Viewport, VisibilityCache};
+use sperke_geo::{Orientation, TileGrid, TileId, Viewport};
 use sperke_hmp::{
     generate_ensemble_member, AttentionModel, ForecastScratch, FusedForecaster, HeadTrace,
 };
@@ -174,8 +174,9 @@ pub(crate) fn chunk_of(salted: u32) -> u32 {
 }
 
 /// Non-serializable run dependencies: trace sink, fault script,
-/// recovery policy and the shared visibility cache. Kept out of
-/// [`EdgeConfig`] so configs stay plain data for sweeps.
+/// recovery policy, origin estimator and loss channel, and the decide
+/// policy. Kept out of [`EdgeConfig`] so configs stay plain data for
+/// sweeps.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeHarness {
     /// Event sink (disabled by default).
@@ -184,8 +185,6 @@ pub struct EdgeHarness {
     pub faults: FaultScript,
     /// Retry policy for failed origin fetches.
     pub recovery: RecoveryPolicy,
-    /// Visibility cache handle (memoization only; never changes bytes).
-    pub vis: VisibilityCache,
     /// Probe the origin backhaul with a BBR-style estimator and pace
     /// fetches at the measured rate (clamped to the declared capacity).
     /// Off by default: declared pacing keeps golden digests stable.
@@ -490,7 +489,6 @@ pub(crate) struct EdgeWorld<'a> {
     /// Crowd aggregators per catalog title, sorted by content id. A
     /// single-title run holds exactly one entry under content 0.
     pub(crate) crowds: Vec<(u16, CrowdAggregator)>,
-    vis: VisibilityCache,
     trace: TraceSink,
     pending: HashMap<StreamId, PendingStream>,
     /// Precomputed per-cell layer sizes, indexed `chunk * tiles + tile`;
@@ -554,7 +552,6 @@ impl<'a> EdgeWorld<'a> {
             faults: harness.faults.compile_for(0),
             recovery: harness.recovery,
             crowds,
-            vis: harness.vis.clone(),
             trace: harness.trace.clone(),
             pending: HashMap::new(),
             sizes: None,
@@ -937,9 +934,7 @@ impl EdgeWorld<'_> {
             return;
         }
         let gaze = display_gaze(self.video, &self.clients[client as usize].head, chunk);
-        let visible = self
-            .vis
-            .visible_tiles(&Viewport::headset(gaze), self.video.grid(), 12);
+        let visible = Viewport::headset(gaze).visible_tiles(self.video.grid(), 12);
         self.apply_display(client, chunk, &visible);
     }
 
@@ -1178,7 +1173,7 @@ impl World<EdgeEvent> for EdgeWorld<'_> {
 }
 
 /// The event-driven edge engine: explicit client set, harness (trace,
-/// faults, recovery, visibility cache, policy) and optional metrics
+/// faults, recovery, origin estimator and loss, policy) and optional metrics
 /// registry. It is the differential oracle of
 /// [`run_edge`](crate::batch::run_edge), which must reproduce its
 /// report and trace bytes for any worker count.

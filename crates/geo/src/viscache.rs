@@ -11,13 +11,13 @@
 //! cache hit is bit-identical to recomputation by construction — the
 //! golden trace digests cannot tell the difference.
 //!
-//! The handle is an `Arc<Mutex<..>>` (like `TraceSink`), so a world
-//! holding one is `Send` and the parallel federation replay can move
-//! node worlds across worker threads between windows. Determinism does
-//! not depend on the hit pattern: the key is the exact bit pattern and
-//! the stored value the exact computed result, so a hit and a
-//! recomputation are indistinguishable. Parallel sweeps still build one
-//! cache per worker world, keeping lock contention at zero.
+//! The handle is an `Arc<Mutex<..>>` (like `TraceSink`): clones share
+//! one memo, and a player config or crowd aggregator holding one stays
+//! `Send + Sync`, so a sweep closure that captures it can run on every
+//! worker thread. Determinism does not depend on the hit pattern: the key is
+//! the exact bit pattern and the stored value the exact computed result,
+//! so a hit and a recomputation are indistinguishable, whichever
+//! sessions share the handle and in whatever order they query it.
 
 use crate::tiling::{TileGrid, TileId};
 use crate::viewport::{Viewport, VisibilityScratch};

@@ -19,8 +19,10 @@ use proptest::prelude::*;
 use sperke_core::{
     run_fleet, run_fleet_oracle, run_fleet_sweep, FleetConfig, FleetGrid, FleetSweepPoint,
 };
-use sperke_edge::{default_clients, run_edge, run_edge_oracle, EdgeConfig, EdgeHarness};
-use sperke_geo::VisibilityCache;
+use sperke_edge::{
+    default_clients, prepare_edge_batch, run_edge, run_edge_oracle, run_edge_prepared, EdgeConfig,
+    EdgeHarness,
+};
 use sperke_net::LossChannel;
 use sperke_sim::sweep::run_sweep;
 use sperke_sim::trace::{TraceConfig, TraceLevel, TraceSink};
@@ -65,7 +67,7 @@ proptest! {
             ..Default::default()
         };
         let policy = policy_for(policy_pick);
-        let legacy = run_fleet_oracle(&v, &cfg, policy, VisibilityCache::default());
+        let legacy = run_fleet_oracle(&v, &cfg, policy);
         for workers in WORKER_COUNTS {
             let batched = run_fleet(&v, &cfg, policy, workers);
             prop_assert_eq!(
@@ -215,7 +217,7 @@ proptest! {
             .seed_axis(vec![seed_a, seed_b]);
         let legacy = run_sweep(&grid.plan(), threads, |_index, config| FleetSweepPoint {
             config: *config,
-            report: run_fleet_oracle(&v, config, None, VisibilityCache::default()),
+            report: run_fleet_oracle(&v, config, None),
         });
         let batched = run_fleet_sweep(&v, &grid, None, threads);
         prop_assert_eq!(legacy.to_jsonl(), batched.to_jsonl());
@@ -254,5 +256,37 @@ fn edge_builder_engines_agree() {
             "trace diverged at {workers} workers"
         );
         assert_eq!(legacy_trace.digest(), trace.digest());
+    }
+}
+
+/// At a 1,000-client scale, one shared [`prepare_edge_batch`] plan
+/// replayed through `run_edge_prepared` reproduces the oracle's report,
+/// with the default harness and with BBR pacing plus bursty origin loss
+/// on the same plan.
+#[test]
+fn prepared_plan_matches_oracle_at_1k_clients() {
+    let v = video(7, 8);
+    let cfg = EdgeConfig {
+        clients: 1000,
+        max_clients: 2048,
+        ..Default::default()
+    };
+    let specs = default_clients(&cfg);
+    let plan = prepare_edge_batch(&v, &cfg, &specs, 0);
+    for harness in [
+        EdgeHarness::default(),
+        EdgeHarness {
+            bbr: true,
+            origin_loss: LossChannel::bursty_default(),
+            ..Default::default()
+        },
+    ] {
+        let oracle = run_edge_oracle(&v, &cfg, &specs, &harness, None);
+        let prepared = run_edge_prepared(&v, &cfg, &plan, &harness, None);
+        assert_eq!(
+            oracle, prepared,
+            "bbr={} loss={:?}: prepared plan diverged from the oracle",
+            harness.bbr, harness.origin_loss
+        );
     }
 }

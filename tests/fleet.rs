@@ -4,7 +4,6 @@
 //! empty fleet.
 
 use sperke_core::{run_fleet, run_fleet_oracle, FleetConfig, FleetReport};
-use sperke_geo::VisibilityCache;
 use sperke_sim::SimDuration;
 use sperke_video::{VideoModel, VideoModelBuilder};
 
@@ -153,7 +152,7 @@ fn zero_viewers_report_zero_traffic() {
         viewers: 0,
         ..Default::default()
     };
-    let oracle = run_fleet_oracle(&v, &cfg, None, VisibilityCache::default());
+    let oracle = run_fleet_oracle(&v, &cfg, None);
     for workers in [1usize, 4] {
         assert_eq!(oracle, run_fleet(&v, &cfg, None, workers));
     }

@@ -21,7 +21,6 @@ use sperke_edge::{
     default_clients, flash_crowd_clients, run_edge, run_edge_oracle, EdgeConfig, EdgeHarness,
     EdgeReport, FederationRunReport,
 };
-use sperke_geo::VisibilityCache;
 use sperke_hmp::Behavior;
 use sperke_net::{FaultScript, LossChannel};
 use sperke_sim::sweep::run_sweep;
@@ -123,7 +122,7 @@ fn batched_engine_reproduces_golden_sweep_digest() {
     let (video, grid) = golden_sweep_inputs();
     let report = run_sweep(&grid.plan(), 3, |_index, config| FleetSweepPoint {
         config: *config,
-        report: run_fleet_oracle(&video, config, None, VisibilityCache::default()),
+        report: run_fleet_oracle(&video, config, None),
     });
     assert_eq!(report.len(), GOLDEN_SWEEP_POINTS);
     assert_eq!(
