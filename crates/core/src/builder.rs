@@ -183,8 +183,8 @@ impl Sperke {
     /// explicitly to share one memo across several experiments in the
     /// same thread, e.g. a seed panel replaying the same video.
     /// [`VisibilityCache::new`] bounds it to a capacity;
-    /// [`VisibilityCache::disabled`] turns memoization off, the uncached
-    /// baseline the perf harness measures against.
+    /// [`VisibilityCache::disabled`] turns memoization off and
+    /// recomputes every visibility query.
     pub fn vis_cache(mut self, cache: VisibilityCache) -> Self {
         self.player.vis_cache = cache;
         self

@@ -195,6 +195,9 @@ fn fleet_gaze(video: &VideoModel, trace: &HeadTrace, chunk: u32) -> Orientation 
 
 struct FleetWorld<'a> {
     video: &'a VideoModel,
+    /// Head traces by viewer, read only by the oracle's inline decides
+    /// and displays; [`run_fleet`] replays precomputed plans and passes
+    /// an empty slice.
     traces: &'a [HeadTrace],
     config: FleetConfig,
     egress: MuxLink,
@@ -236,7 +239,8 @@ impl FleetWorld<'_> {
         SimTime::ZERO + self.start_offset[viewer] + self.video.chunk_duration() * (chunk + 1) as u64
     }
 
-    /// A fresh world over shared traces: staggered joins, empty buffers.
+    /// A fresh world over the oracle's traces (empty for [`run_fleet`]):
+    /// staggered joins, empty buffers.
     fn new<'a>(
         video: &'a VideoModel,
         config: FleetConfig,
@@ -434,9 +438,9 @@ fn finish_fleet_report(
 }
 
 /// Everything the sense phase computes for one viewer, independent of
-/// the shared egress state.
+/// the shared egress state. The head trace it was computed from is
+/// dropped with the sense phase.
 struct ViewerBatch {
-    trace: HeadTrace,
     /// Per-chunk planned fetches, evaluated at each chunk's decide time.
     selections: Vec<Vec<FleetSelection>>,
     /// Per-chunk display coverage lists.
@@ -517,20 +521,13 @@ pub fn run_fleet(
                 );
             }
             ViewerBatch {
-                trace,
                 selections,
                 displays,
             }
         })
     });
 
-    let mut traces = Vec::with_capacity(batches.len());
-    let mut plans = Vec::with_capacity(batches.len());
-    for b in batches {
-        traces.push(b.trace);
-        plans.push((b.selections, b.displays));
-    }
-    let mut world = FleetWorld::new(video, cfg, &traces);
+    let mut world = FleetWorld::new(video, cfg, &[]);
 
     // --- Static schedule, pushed in the oracle's `sim.schedule` order so
     // same-instant ties resolve by identical sequence numbers.
@@ -569,10 +566,15 @@ pub fn run_fleet(
         world.drain_egress(now);
         match event {
             FleetEvent::Decide { viewer, chunk } => {
-                world.apply_decide(viewer, chunk, &plans[viewer].0[chunk as usize], now);
+                world.apply_decide(
+                    viewer,
+                    chunk,
+                    &batches[viewer].selections[chunk as usize],
+                    now,
+                );
             }
             FleetEvent::Display { viewer, chunk } => {
-                world.apply_display(viewer, chunk, &plans[viewer].1[chunk as usize]);
+                world.apply_display(viewer, chunk, &batches[viewer].displays[chunk as usize]);
             }
         }
     }

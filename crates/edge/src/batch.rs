@@ -20,7 +20,7 @@
 //!
 //! Bit-exactness is therefore by construction: the pure kernels are
 //! individually proven bit-identical to their inline forms (see the
-//! `forecast_with` / `visible_tiles_batch` / `viewer_reports` tests),
+//! `forecast_with` / `visible_tiles_batch` / `trace_reports` tests),
 //! and everything stateful is shared code. The differential harness in
 //! `tests/engine_equivalence.rs` pins the end-to-end claim.
 
@@ -31,7 +31,7 @@ use crate::server::{
 };
 use sperke_geo::{visible_tiles_batch, Orientation, TileId, Viewport, VisibilityScratch};
 use sperke_hmp::{AttentionModel, ForecastScratch};
-use sperke_live::{viewer_reports, CrowdAggregator, LiveViewer};
+use sperke_live::{trace_reports, CrowdAggregator};
 use sperke_net::WrrLink;
 use sperke_sim::{parallel_indexed, MetricsRegistry, ReplayQueue, SimDuration, SimTime};
 use sperke_video::{ChunkTime, VideoModel};
@@ -39,9 +39,9 @@ use sperke_vra::{AbrPolicyKind, StochasticChoice};
 use std::cell::RefCell;
 
 /// Everything the sense phase computes for one client, independent of
-/// every other client and of the world's mutable state.
+/// every other client and of the world's mutable state. The head trace
+/// it was computed from is not kept: replay reads only these plans.
 pub(crate) struct ClientBatch {
-    pub(crate) head: sperke_hmp::HeadTrace,
     /// Crowd gaze reports (admitted clients, prefetch runs only).
     pub(crate) reports: Vec<(SimTime, ChunkTime, Vec<TileId>)>,
     /// Per-chunk stochastic selections (admitted clients only).
@@ -86,8 +86,9 @@ impl EdgeSched for ReplaySched<'_> {
 /// The sense phase's output: every pure per-client computation,
 /// materialized into contiguous arrays. Build once with
 /// [`prepare_edge_batch`], replay any number of times with
-/// [`run_edge_prepared`] — the split is what lets the perf harness time
-/// the engine's stepping loop apart from trace synthesis.
+/// [`run_edge_prepared`] — the split lets a caller time the engine's
+/// stepping loop apart from head-trace synthesis and the other sense
+/// kernels.
 pub struct EdgePlan {
     /// Client specs in canonical (deterministic) order.
     specs: Vec<EdgeClientSpec>,
@@ -96,9 +97,10 @@ pub struct EdgePlan {
 }
 
 /// Run the sense phase: sort the population into canonical order and
-/// compute every client's pure plan (head trace, gaze reports, decide
-/// selections, display visibility) on `workers` threads (0 = machine
-/// default). The result is worker-count blind. Decides are planned by
+/// compute every client's pure plan (gaze reports, decide selections,
+/// display visibility, all read off a head trace that is dropped once
+/// they are built) on `workers` threads (0 = machine default). The
+/// result is worker-count blind. Decides are planned by
 /// the hardwired stochastic selector; [`run_edge`] plans with
 /// [`EdgeHarness::policy`] instead.
 pub fn prepare_edge_batch(
@@ -140,12 +142,13 @@ fn prepare_edge_batch_inner(
     EdgePlan { specs, batches }
 }
 
-/// The pure per-client sense kernel: head trace, per-chunk decide
-/// selections, display coverage lists and crowd gaze reports, all as a
-/// function of `(video, config, spec)` alone. Shared by the batched
-/// edge engine and the federation engine — both shard it across worker
-/// threads and merge by index, which is what makes their outputs
-/// worker-count blind.
+/// The pure per-client sense kernel: per-chunk decide selections,
+/// display coverage lists and crowd gaze reports, all as a function of
+/// `(video, config, spec)` alone. The client's head trace is built,
+/// read and dropped here; nothing after the sense phase needs it.
+/// Shared by the batched edge engine and the federation engine — both
+/// shard it across worker threads and merge by index, which is what
+/// makes their outputs worker-count blind.
 ///
 /// `policy` plans the decide selections (see `decide_choices`). The
 /// per-client chunk loop runs in order, so temporal policies see the
@@ -166,7 +169,6 @@ pub(crate) fn sense_client(
     let head = client_head(attention, spec, session);
     if !admitted {
         return ClientBatch {
-            head,
             reports: Vec::new(),
             decides: Vec::new(),
             displays: Vec::new(),
@@ -205,21 +207,18 @@ pub(crate) fn sense_client(
         // ingest otherwise cannot change any output (the aggregator
         // is read exclusively by prefetch events).
         let reports = if config.prefetch {
-            viewer_reports(
+            trace_reports(
                 video.grid(),
                 video.chunk_duration(),
                 report_delay,
-                &LiveViewer {
-                    trace: head.clone(),
-                    latency: spec.arrival,
-                },
+                &head,
+                spec.arrival,
                 chunks,
             )
         } else {
             Vec::new()
         };
         ClientBatch {
-            head,
             reports,
             decides,
             displays,
@@ -229,8 +228,9 @@ pub(crate) fn sense_client(
 
 /// Run the stateful engine over a prepared plan: assemble the world,
 /// replay the oracle's event order, and settle the books. This is the
-/// decide → fetch → render stepping loop the perf baseline gates —
-/// everything pure was already materialized by [`prepare_edge_batch`].
+/// decide → fetch → render stepping loop; everything pure was already
+/// materialized by [`prepare_edge_batch`], so the plan can be replayed
+/// any number of times.
 pub fn run_edge_prepared(
     video: &VideoModel,
     config: &EdgeConfig,
@@ -260,7 +260,7 @@ pub fn run_edge_prepared(
                 spec.content,
             )
             .ingest_reports(batch.reports.clone());
-            ClientState::new(spec, batch.head.clone(), admitted, link_id)
+            ClientState::new(spec, admitted, link_id)
         })
         .collect();
 
@@ -271,7 +271,7 @@ pub fn run_edge_prepared(
     let first_arrival = specs.first().map_or(SimDuration::ZERO, |s| s.arrival);
     let last_arrival = specs.last().map_or(SimDuration::ZERO, |s| s.arrival);
 
-    let mut world = EdgeWorld::new(video, *config, states, egress, crowds, harness);
+    let mut world = EdgeWorld::new(video, *config, states, &[], egress, crowds, harness);
     world.precompute_sizes();
 
     // --- Prefetch plans: the crowds are fully ingested and event times

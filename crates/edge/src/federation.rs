@@ -637,7 +637,7 @@ pub fn run_federation(
     let report_delay = CrowdAggregator::new(*video.grid(), video.chunk_duration()).report_delay;
     let specs_ref = &specs;
     let admitted_ref = &admitted_at_home;
-    let batches: Vec<ClientBatch> = parallel_indexed(specs.len(), workers, |i| {
+    let mut batches: Vec<ClientBatch> = parallel_indexed(specs.len(), workers, |i| {
         sense_client(
             video,
             &config.node,
@@ -711,16 +711,29 @@ pub fn run_federation(
                     )
                     .ingest_reports_delayed(&batches[i].reports, config.sync_delay);
                 }
-                ClientState::new(*cspec, batches[i].head.clone(), admitted, link_id)
+                ClientState::new(*cspec, admitted, link_id)
             })
             .collect();
         let node_harness = EdgeHarness {
             trace: node_sinks[n].clone(),
             ..Default::default()
         };
-        let mut world = EdgeWorld::new(video, node_config, states, egress, crowds, &node_harness);
+        let mut world = EdgeWorld::new(
+            video,
+            node_config,
+            states,
+            &[],
+            egress,
+            crowds,
+            &node_harness,
+        );
         world.precompute_sizes();
         worlds.push(world);
+    }
+    // Every crowd has ingested its copy of the gaze reports; replay
+    // reads only the decide and display plans.
+    for batch in &mut batches {
+        batch.reports = Vec::new();
     }
 
     // --- Prefetch plans per node per chunk, from the node's own fully

@@ -323,7 +323,6 @@ pub(crate) enum EdgeEvent {
 
 pub(crate) struct ClientState {
     pub(crate) spec: EdgeClientSpec,
-    pub(crate) head: HeadTrace,
     pub(crate) admitted: bool,
     /// WRR queue id; only admitted clients hold one.
     pub(crate) link_id: Option<u32>,
@@ -335,15 +334,9 @@ pub(crate) struct ClientState {
 
 impl ClientState {
     /// A freshly attached client with nothing delivered or planned.
-    pub(crate) fn new(
-        spec: EdgeClientSpec,
-        head: HeadTrace,
-        admitted: bool,
-        link_id: Option<u32>,
-    ) -> ClientState {
+    pub(crate) fn new(spec: EdgeClientSpec, admitted: bool, link_id: Option<u32>) -> ClientState {
         ClientState {
             spec,
-            head,
             admitted,
             link_id,
             delivered: HashMap::new(),
@@ -474,6 +467,11 @@ pub(crate) struct EdgeWorld<'a> {
     pub(crate) video: &'a VideoModel,
     pub(crate) config: EdgeConfig,
     pub(crate) clients: Vec<ClientState>,
+    /// Head traces by client index, read only by the oracle's inline
+    /// decides and displays. The batched engines replay precomputed
+    /// plans and pass an empty slice, so a stray oracle-only read
+    /// panics on the index instead of reading a stale trace.
+    traces: &'a [HeadTrace],
     pub(crate) egress: WrrLink,
     cache: TileCache,
     inflight: HashMap<CacheKey, Inflight>,
@@ -518,12 +516,14 @@ pub(crate) struct EdgeWorld<'a> {
 }
 
 impl<'a> EdgeWorld<'a> {
-    /// A fresh world over pre-built client states, egress and crowd
+    /// A fresh world over pre-built client states, the oracle's head
+    /// traces (empty for the batched engines), egress and crowd
     /// aggregators (one per catalog title, sorted by content id).
     pub(crate) fn new(
         video: &'a VideoModel,
         config: EdgeConfig,
         clients: Vec<ClientState>,
+        traces: &'a [HeadTrace],
         egress: WrrLink,
         crowds: Vec<(u16, CrowdAggregator)>,
         harness: &EdgeHarness,
@@ -537,6 +537,7 @@ impl<'a> EdgeWorld<'a> {
             video,
             config,
             clients,
+            traces,
             egress,
             cache: TileCache::new(config.cache_bytes),
             inflight: HashMap::new(),
@@ -877,11 +878,10 @@ impl EdgeWorld<'_> {
             return;
         }
         let now = sched.now();
-        let state = &self.clients[client as usize];
         let choices = decide_choices(
             self.video,
-            &state.spec,
-            &state.head,
+            &self.clients[client as usize].spec,
+            &self.traces[client as usize],
             chunk,
             now,
             &mut self.fscratch,
@@ -933,7 +933,7 @@ impl EdgeWorld<'_> {
         if !self.clients[client as usize].admitted {
             return;
         }
-        let gaze = display_gaze(self.video, &self.clients[client as usize].head, chunk);
+        let gaze = display_gaze(self.video, &self.traces[client as usize], chunk);
         let visible = Viewport::headset(gaze).visible_tiles(self.video.grid(), 12);
         self.apply_display(client, chunk, &visible);
     }
@@ -1197,14 +1197,17 @@ pub fn run_edge_oracle(
     let mut egress = WrrLink::new(config.egress_bps);
     let mut crowds: Vec<(u16, CrowdAggregator)> = Vec::new();
     let attention = AttentionModel::generic(config.seed);
+    // One deterministic head trace per spec seed; the ensemble
+    // generator's behaviour mix keys off the seed.
+    let traces: Vec<HeadTrace> = specs
+        .iter()
+        .map(|spec| client_head(&attention, spec, session))
+        .collect();
     let states: Vec<ClientState> = specs
         .iter()
         .enumerate()
         .map(|(i, spec)| {
             let admitted = i < config.max_clients;
-            // One deterministic head trace per spec seed; the ensemble
-            // generator's behaviour mix keys off the seed.
-            let head = client_head(&attention, spec, session);
             let link_id = admitted.then(|| egress.add_client(spec.weight));
             if admitted {
                 // Attached clients report their gaze to their title's
@@ -1218,13 +1221,13 @@ pub fn run_edge_oracle(
                 )
                 .ingest(
                     &LiveViewer {
-                        trace: head.clone(),
+                        trace: traces[i].clone(),
                         latency: spec.arrival,
                     },
                     chunks,
                 );
             }
-            ClientState::new(*spec, head, admitted, link_id)
+            ClientState::new(*spec, admitted, link_id)
         })
         .collect();
 
@@ -1235,7 +1238,7 @@ pub fn run_edge_oracle(
     let first_arrival = specs.first().map_or(SimDuration::ZERO, |s| s.arrival);
     let last_arrival = specs.last().map_or(SimDuration::ZERO, |s| s.arrival);
 
-    let mut world = EdgeWorld::new(video, *config, states, egress, crowds, harness);
+    let mut world = EdgeWorld::new(video, *config, states, &traces, egress, crowds, harness);
 
     let mut sim = Simulation::new();
     for (i, spec) in specs.iter().enumerate() {

@@ -134,12 +134,15 @@ impl CrowdAggregator {
 /// in `0..chunks` — computed without touching an aggregator. Pure in
 /// its arguments, so a batched engine can compute every viewer's
 /// reports on worker threads and append them in canonical order with
-/// [`CrowdAggregator::ingest_reports`].
-pub fn viewer_reports(
+/// [`CrowdAggregator::ingest_reports`]. Takes the viewer's parts by
+/// reference, so a caller holding only a trace need not build a
+/// [`LiveViewer`] around a copy of it.
+pub fn trace_reports(
     grid: &TileGrid,
     chunk_duration: SimDuration,
     report_delay: SimDuration,
-    viewer: &LiveViewer,
+    trace: &HeadTrace,
+    latency: SimDuration,
     chunks: u32,
 ) -> Vec<(SimTime, ChunkTime, Vec<TileId>)> {
     // One scratch (ray-hit counts + boundary classifier) serves every
@@ -149,13 +152,31 @@ pub fn viewer_reports(
     (0..chunks)
         .map(|c| {
             let video_time = SimTime::ZERO + chunk_duration * c as u64;
-            let wall = video_time + viewer.latency + report_delay;
-            let gaze = viewer.trace.at(video_time + chunk_duration / 2);
+            let wall = video_time + latency + report_delay;
+            let gaze = trace.at(video_time + chunk_duration / 2);
             let mut tiles = Vec::new();
             Viewport::headset(gaze).visible_tile_set_into(grid, &mut scratch, &mut tiles);
             (wall, ChunkTime(c), tiles)
         })
         .collect()
+}
+
+/// [`trace_reports`] for a [`LiveViewer`].
+pub fn viewer_reports(
+    grid: &TileGrid,
+    chunk_duration: SimDuration,
+    report_delay: SimDuration,
+    viewer: &LiveViewer,
+    chunks: u32,
+) -> Vec<(SimTime, ChunkTime, Vec<TileId>)> {
+    trace_reports(
+        grid,
+        chunk_duration,
+        report_delay,
+        &viewer.trace,
+        viewer.latency,
+        chunks,
+    )
 }
 
 /// Accuracy report for one prediction policy.
@@ -334,7 +355,7 @@ mod tests {
         let mut batched = CrowdAggregator::new(grid, cd);
         for v in &lows {
             direct.ingest(v, 12);
-            let reports = viewer_reports(&grid, cd, batched.report_delay, v, 12);
+            let reports = trace_reports(&grid, cd, batched.report_delay, &v.trace, v.latency, 12);
             batched.ingest_reports(reports);
         }
         assert_eq!(direct.reports, batched.reports);

@@ -25,7 +25,9 @@ pub mod platform;
 pub use broadcast::{
     run_live, run_live_with_upload_vra, table2, LiveRunConfig, LiveRunResult, NetworkCondition,
 };
-pub use crowd::{evaluate_crowd_hmp, viewer_reports, CrowdAggregator, CrowdHmpReport, LiveViewer};
+pub use crowd::{
+    evaluate_crowd_hmp, trace_reports, viewer_reports, CrowdAggregator, CrowdHmpReport, LiveViewer,
+};
 pub use fallback::{
     plan_upload, viewer_experience, ExperienceReport, Horizon, InterestProfile, UploadPlan,
     UploadStrategy,
